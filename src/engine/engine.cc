@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <utility>
 
 #include "cluster/partition_plan.h"
@@ -28,6 +29,49 @@ void Accumulate(CostEstimate* into, const CostEstimate& add, double factor) {
 
 const char* ModeName(bool streaming) {
   return streaming ? "streaming" : "materializing";
+}
+
+/// The spec's projection counts against the relations its strategy reads:
+/// a count the workload cannot serve is the client's error, returned as a
+/// Status before it reaches the executors' RADIX_CHECKs.
+Status ValidateProjection(const workload::JoinWorkload& w,
+                          const QuerySpec& spec) {
+  const bool nsm = spec.strategy == JoinStrategy::kNsmPreHash ||
+                   spec.strategy == JoinStrategy::kNsmPrePhash ||
+                   spec.strategy == JoinStrategy::kNsmPostDecluster ||
+                   spec.strategy == JoinStrategy::kNsmPostJive;
+  // num_attrs() counts the key, which is never projected.
+  const size_t attrs_left =
+      nsm ? w.nsm_left.num_attrs() : w.dsm_left.num_attrs();
+  const size_t attrs_right =
+      nsm ? w.nsm_right.num_attrs() : w.dsm_right.num_attrs();
+  if (attrs_left == 0 || attrs_right == 0) {
+    return Status::InvalidArgument(
+        "the strategy's relations are not built (JoinWorkloadSpec::build_nsm)");
+  }
+  auto too_many = [](const char* what, size_t asked, size_t have) {
+    std::string msg(what);
+    msg += " = ";
+    msg += std::to_string(asked);
+    msg += " exceeds the workload's ";
+    msg += std::to_string(have);
+    return Status::InvalidArgument(std::move(msg));
+  };
+  if (spec.pi_left > attrs_left - 1) {
+    return too_many("pi_left", spec.pi_left, attrs_left - 1);
+  }
+  if (spec.pi_right > attrs_right - 1) {
+    return too_many("pi_right", spec.pi_right, attrs_right - 1);
+  }
+  if (spec.pi_varchar_left > w.left_varchars.size()) {
+    return too_many("pi_varchar_left", spec.pi_varchar_left,
+                    w.left_varchars.size());
+  }
+  if (spec.pi_varchar_right > w.right_varchars.size()) {
+    return too_many("pi_varchar_right", spec.pi_varchar_right,
+                    w.right_varchars.size());
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -106,6 +150,7 @@ PreparedQuery Engine::Prepare(const workload::JoinWorkload& workload,
   Explanation ex;
   ex.strategy = spec.strategy;
   ex.threads = num_threads();
+  ex.cache_geometry = hw.CacheSummary();
   ex.estimated_result_rows = n_index;
   // Point-ish queries (small inputs and result) run their grains at high
   // priority on the shared pool, overtaking heavy queries' queued grains
@@ -464,6 +509,7 @@ Status Engine::Prepare(const ops::Catalog& catalog,
   ex.strategy = JoinStrategy::kDsmPostDecluster;
   ex.plan_tree = true;
   ex.threads = num_threads();
+  ex.cache_geometry = hw_.CacheSummary();
   ex.estimated_result_rows = physical.est_result_rows;
   ex.modeled_intermediate_bytes = physical.modeled_intermediate_bytes;
   ex.join_cost = physical.join_cost;
@@ -591,6 +637,8 @@ Status Engine::ExecutePrepared(const PreparedQuery& query,
                                project::QueryRun* out) const {
   const Explanation& ex = query.explanation_;
   const QuerySpec& spec = query.spec_;
+  Status valid = ValidateProjection(*query.workload_, spec);
+  if (!valid.ok()) return valid;
 
   // Admission: reserve the plan's peak intermediate bytes before touching
   // any shared resource. Blocks FIFO behind earlier arrivals when the
@@ -732,6 +780,10 @@ std::string Explanation::ToString() const {
     s += "), window=";
     s += std::to_string(window_elems);
     s += " elems";
+  }
+  if (!cache_geometry.empty()) {
+    s += "\ncaches: ";
+    s += cache_geometry;
   }
   if (modeled_intermediate_bytes != 0) {
     s += "\nintermediates: ~";

@@ -228,6 +228,9 @@ struct Explanation {
   /// side with pi_varchar_right > 0). Included in modeled_seconds.
   costmodel::CostEstimate varchar_decluster_cost;
   double modeled_seconds = 0;
+  /// The cache levels planned against (MemoryHierarchy::CacheSummary):
+  /// each level's sharing, the partition target and the LLC share.
+  std::string cache_geometry;
 
   std::string ToString() const;
 };

@@ -1,12 +1,23 @@
 #ifndef RADIX_PROJECT_CHECKSUM_H_
 #define RADIX_PROJECT_CHECKSUM_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 #include "common/hash.h"
 #include "common/overflow.h"
 #include "common/types.h"
+
+namespace radix {
+class ThreadPool;
+namespace storage {
+struct DsmResult;
+class NsmResult;
+class VarcharColumn;
+}  // namespace storage
+}  // namespace radix
 
 namespace radix::project {
 
@@ -41,6 +52,24 @@ class RowDigest {
   uint64_t d_ = 0x9e3779b97f4a7c15ULL;
   uint64_t col_ = 0;
 };
+
+/// Rows per grain of a pooled result checksum. A result of fewer than two
+/// grains is summed serially on the calling thread.
+inline constexpr size_t kChecksumGrainRows = size_t{1} << 16;
+
+/// The query checksum of a column-wise result: the wrapping sum of its
+/// RowDigests. The sum is order-independent, so splitting it into grains on
+/// `pool` gives the bit-identical value; nullptr sums serially.
+uint64_t ChecksumColumns(const storage::DsmResult& r,
+                         ThreadPool* pool = nullptr);
+
+/// The same checksum of a row-major result plus its result-order varchar
+/// columns. Zero-width row results collapse to cardinality 0; the varchar
+/// columns then carry the row count.
+uint64_t ChecksumRows(const storage::NsmResult& r,
+                      std::span<const storage::VarcharColumn> left_varchars,
+                      std::span<const storage::VarcharColumn> right_varchars,
+                      ThreadPool* pool = nullptr);
 
 }  // namespace radix::project
 

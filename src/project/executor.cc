@@ -4,9 +4,7 @@
 #include <memory>
 #include <vector>
 
-#include "common/hash.h"
 #include "common/mutex.h"
-#include "common/overflow.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "join/partitioned_hash_join.h"
@@ -40,48 +38,6 @@ struct VarcharResult {
                          : (!right.empty() ? right.front().size() : 0);
   }
 };
-
-/// Order-independent digest: sum of per-row digests (see RowDigest for the
-/// canonical column order). Result order differs legitimately across
-/// strategies (post-projection reorders the index), so the checksum must
-/// not depend on it; row contents — fixed and varchar alike — must stay
-/// associated, which the per-row digest captures.
-uint64_t ChecksumRows(const storage::NsmResult& r,
-                      const VarcharResult* vars = nullptr) {
-  uint64_t sum = 0;
-  size_t n = r.cardinality();
-  if (vars != nullptr && !vars->empty()) {
-    // Row-major results of width 0 collapse to cardinality 0; the gathered
-    // varchar columns still know the true row count.
-    n = std::max(n, vars->rows());
-  }
-  for (size_t i = 0; i < n; ++i) {
-    RowDigest digest;
-    if (i < r.cardinality()) {
-      const value_t* row = r.row(i);
-      for (size_t a = 0; a < r.width(); ++a) digest.AddValue(row[a]);
-    }
-    if (vars != nullptr) {
-      for (const auto& col : vars->left) digest.AddString(col.at(i));
-      for (const auto& col : vars->right) digest.AddString(col.at(i));
-    }
-    sum = WrapAdd(sum, digest.digest());
-  }
-  return sum;
-}
-
-uint64_t ChecksumColumns(const storage::DsmResult& r) {
-  uint64_t sum = 0;
-  for (size_t i = 0; i < r.cardinality; ++i) {
-    RowDigest digest;
-    for (const auto& col : r.left_columns) digest.AddValue(col[i]);
-    for (const auto& col : r.right_columns) digest.AddValue(col[i]);
-    for (const auto& col : r.left_varchars) digest.AddString(col.at(i));
-    for (const auto& col : r.right_varchars) digest.AddString(col.at(i));
-    sum = WrapAdd(sum, digest.digest());
-  }
-  return sum;
-}
 
 /// Do the query options ask for any varchar projection?
 bool WantsVarchar(const QueryOptions& options) {
@@ -222,12 +178,15 @@ QueryRun RunQuery(const workload::JoinWorkload& w, JoinStrategy strategy,
   QueryRun run;
   run.strategy = strategy;
   Timer total;
+  // Kernels of the strategies that have parallel paths, and the result
+  // checksum of every strategy, run on this pool.
+  ThreadPool* pool = ResolveQueryPool(options);
 
   switch (strategy) {
     case JoinStrategy::kDsmPostDecluster: {
       DsmPostOptions popts;
-      join::JoinIndex index = JoinAndPlanDsmPost(
-          w, options, hw, ResolveQueryPool(options), &run, &popts);
+      join::JoinIndex index =
+          JoinAndPlanDsmPost(w, options, hw, pool, &run, &popts);
       VarcharProjection var = SelectVarchars(w, options);
       storage::DsmResult result =
           DsmPostProject(index, w.dsm_left, w.dsm_right, options.pi_left,
@@ -235,7 +194,7 @@ QueryRun RunQuery(const workload::JoinWorkload& w, JoinStrategy strategy,
                          WantsVarchar(options) ? &var : nullptr);
       run.seconds = total.ElapsedSeconds();
       run.result_cardinality = result.cardinality;
-      run.checksum = ChecksumColumns(result);
+      run.checksum = ChecksumColumns(result, pool);
       return run;
     }
     case JoinStrategy::kDsmPrePhash: {
@@ -249,7 +208,7 @@ QueryRun RunQuery(const workload::JoinWorkload& w, JoinStrategy strategy,
       // Zero-width row results collapse to cardinality 0; for varchar-only
       // projection lists the gathered columns know the true row count.
       run.result_cardinality = std::max(result.cardinality(), vars.rows());
-      run.checksum = ChecksumRows(result, &vars);
+      run.checksum = ChecksumRows(result, vars.left, vars.right, pool);
       return run;
     }
     case JoinStrategy::kNsmPreHash: {
@@ -260,7 +219,7 @@ QueryRun RunQuery(const workload::JoinWorkload& w, JoinStrategy strategy,
       VarcharResult vars = GatherVarchars(oids, w, options, &run.phases);
       run.seconds = total.ElapsedSeconds();
       run.result_cardinality = std::max(result.cardinality(), vars.rows());
-      run.checksum = ChecksumRows(result, &vars);
+      run.checksum = ChecksumRows(result, vars.left, vars.right, pool);
       return run;
     }
     case JoinStrategy::kNsmPrePhash: {
@@ -272,7 +231,7 @@ QueryRun RunQuery(const workload::JoinWorkload& w, JoinStrategy strategy,
       VarcharResult vars = GatherVarchars(oids, w, options, &run.phases);
       run.seconds = total.ElapsedSeconds();
       run.result_cardinality = std::max(result.cardinality(), vars.rows());
-      run.checksum = ChecksumRows(result, &vars);
+      run.checksum = ChecksumRows(result, vars.left, vars.right, pool);
       return run;
     }
     case JoinStrategy::kNsmPostDecluster: {
@@ -280,7 +239,7 @@ QueryRun RunQuery(const workload::JoinWorkload& w, JoinStrategy strategy,
       std::vector<value_t> lkeys = ExtractNsmKeys(w.nsm_left);
       std::vector<value_t> rkeys = ExtractNsmKeys(w.nsm_right);
       join::PartitionedHashJoinOptions jopts;
-      jopts.pool = ResolveQueryPool(options);
+      jopts.pool = pool;
       join::JoinIndex index =
           join::PartitionedHashJoin(lkeys, rkeys, hw, jopts);
       run.phases.join_seconds = join_timer.ElapsedSeconds();
@@ -293,7 +252,7 @@ QueryRun RunQuery(const workload::JoinWorkload& w, JoinStrategy strategy,
           GatherVarchars(index.span(), w, options, &run.phases);
       run.seconds = total.ElapsedSeconds();
       run.result_cardinality = result.cardinality();
-      run.checksum = ChecksumRows(result, &vars);
+      run.checksum = ChecksumRows(result, vars.left, vars.right, pool);
       return run;
     }
     case JoinStrategy::kNsmPostJive: {
@@ -301,7 +260,7 @@ QueryRun RunQuery(const workload::JoinWorkload& w, JoinStrategy strategy,
       std::vector<value_t> lkeys = ExtractNsmKeys(w.nsm_left);
       std::vector<value_t> rkeys = ExtractNsmKeys(w.nsm_right);
       join::PartitionedHashJoinOptions jopts;
-      jopts.pool = ResolveQueryPool(options);
+      jopts.pool = pool;
       join::JoinIndex index =
           join::PartitionedHashJoin(lkeys, rkeys, hw, jopts);
       run.phases.join_seconds = join_timer.ElapsedSeconds();
@@ -314,7 +273,7 @@ QueryRun RunQuery(const workload::JoinWorkload& w, JoinStrategy strategy,
           GatherVarchars(index.span(), w, options, &run.phases);
       run.seconds = total.ElapsedSeconds();
       run.result_cardinality = result.cardinality();
-      run.checksum = ChecksumRows(result, &vars);
+      run.checksum = ChecksumRows(result, vars.left, vars.right, pool);
       return run;
     }
   }
@@ -334,15 +293,16 @@ QueryRun RunQueryStreaming(const workload::JoinWorkload& w,
   QueryRun run;
   run.strategy = strategy;
   Timer total;
+  ThreadPool* pool = ResolveQueryPool(options);
   DsmPostOptions popts;
-  join::JoinIndex index = JoinAndPlanDsmPost(
-      w, options, hw, ResolveQueryPool(options), &run, &popts);
+  join::JoinIndex index =
+      JoinAndPlanDsmPost(w, options, hw, pool, &run, &popts);
   storage::DsmResult result = DsmPostProjectStreaming(
       index, w.dsm_left, w.dsm_right, options.pi_left, options.pi_right, hw,
       popts, options.chunk_rows, &run.phases);
   run.seconds = total.ElapsedSeconds();
   run.result_cardinality = result.cardinality;
-  run.checksum = ChecksumColumns(result);
+  run.checksum = ChecksumColumns(result, pool);
   return run;
 }
 

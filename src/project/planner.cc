@@ -1,5 +1,7 @@
 #include "project/planner.h"
 
+#include <algorithm>
+
 #include "cluster/partition_plan.h"
 #include "costmodel/models.h"
 #include "decluster/window.h"
@@ -10,11 +12,18 @@ bool ColumnFitsCache(size_t tuples, const hardware::MemoryHierarchy& hw) {
   return tuples * sizeof(value_t) <= hw.target_cache().capacity_bytes;
 }
 
-bool VarcharColumnFitsCache(size_t tuples, size_t avg_len,
-                            const hardware::MemoryHierarchy& hw) {
-  return tuples * (sizeof(uint64_t) + avg_len) <=
-         hw.target_cache().capacity_bytes;
+namespace {
+
+/// Does one side's random gather working set — its fixed column, plus the
+/// offsets + heap of its varchar columns if it projects any — fit `bytes`?
+bool SideFits(size_t tuples, size_t pi_varchar, size_t avg_varchar_len,
+              size_t bytes) {
+  if (tuples * sizeof(value_t) > bytes) return false;
+  return pi_varchar == 0 ||
+         tuples * (sizeof(uint64_t) + avg_varchar_len) <= bytes;
 }
+
+}  // namespace
 
 Plan PlanDsmPost(size_t left_cardinality, size_t right_cardinality,
                  size_t /*index_cardinality*/, size_t pi_left,
@@ -24,21 +33,15 @@ Plan PlanDsmPost(size_t left_cardinality, size_t right_cardinality,
                  size_t avg_varchar_right_len) {
   Plan plan;
   plan.options.num_threads = num_threads;
-  bool left_fits = ColumnFitsCache(left_cardinality, hw);
-  bool right_fits = ColumnFitsCache(right_cardinality, hw);
-  // Per-column types: a side projecting varchar columns is only cache-easy
-  // if the offsets + heap working set fits too.
-  if (pi_varchar_left > 0) {
-    left_fits = left_fits && VarcharColumnFitsCache(
-                                 left_cardinality, avg_varchar_left_len, hw);
-  }
-  if (pi_varchar_right > 0) {
-    right_fits = right_fits && VarcharColumnFitsCache(
-                                   right_cardinality, avg_varchar_right_len,
-                                   hw);
-  }
+  const size_t private_bytes = hw.target_cache().capacity_bytes;
+  const bool left_fits = SideFits(left_cardinality, pi_varchar_left,
+                                  avg_varchar_left_len, private_bytes);
+  const bool right_fits = SideFits(right_cardinality, pi_varchar_right,
+                                   avg_varchar_right_len, private_bytes);
   plan.easy = left_fits && right_fits;
 
+  // Left side: reordering the index is a one-off, cheap pass, so cluster
+  // as soon as the column outgrows the cache this core owns.
   if (left_fits) {
     plan.options.left = SideStrategy::kUnsorted;
   } else if (pi_left + pi_varchar_left > 16) {
@@ -49,8 +52,16 @@ Plan PlanDsmPost(size_t left_cardinality, size_t right_cardinality,
   } else {
     plan.options.left = SideStrategy::kClustered;
   }
+  // Right side: d pays cluster + decluster for every column, which only
+  // beats a random gather once that gather goes to RAM. A gather whose
+  // column fits this core's share of the last level hits there, so u.
+  const size_t gather_bytes =
+      std::max(private_bytes, hw.llc_share_bytes());
   plan.options.right =
-      right_fits ? SideStrategy::kUnsorted : SideStrategy::kDecluster;
+      SideFits(right_cardinality, pi_varchar_right, avg_varchar_right_len,
+               gather_bytes)
+          ? SideStrategy::kUnsorted
+          : SideStrategy::kDecluster;
 
   plan.code = std::string(SideStrategyCode(plan.options.left)) + "/" +
               SideStrategyCode(plan.options.right);

@@ -16,9 +16,13 @@ namespace radix::project {
 ///  * "easy" joins (the smaller relation's columns fit the cache) use
 ///    unsorted positional joins, u/u (paper §3);
 ///  * "hard" joins reorder the left side — partial cluster (c) for low π,
-///    full sort (s) once π grows past ~16 (Fig. 8);
-///  * the right side uses d (Radix-Decluster) once its column exceeds the
-///    cache, else u (Fig. 10c's progression u/u → c/u → c/d → s/d).
+///    full sort (s) once π grows past ~16 (Fig. 8) — as soon as the left
+///    column exceeds the target (private) cache;
+///  * the right side uses d (Radix-Decluster) once its column exceeds what
+///    a random gather can count on hitting — this core's share of the last
+///    level, or the target cache if that is larger — else u (Fig. 10c's
+///    progression u/u → c/u → c/d → s/d). On the paper's machine both
+///    caches are its one private L2.
 struct Plan {
   DsmPostOptions options;
   bool easy = false;  ///< smaller column fits the cache
@@ -34,10 +38,9 @@ struct Plan {
 /// `avg_varchar_{left,right}_len` their mean value length in bytes.
 /// Varchar columns weigh in twice: they count toward the left side's
 /// many-columns sort threshold (each is at least as expensive as a fixed
-/// gather), and a side with varchar projections is only "easy" if its
-/// offsets *and* heap working set fit the cache too
-/// (VarcharColumnFitsCache) — otherwise the right side gets the
-/// three-phase varchar decluster (d).
+/// gather), and a side with varchar projections only fits a cache if its
+/// 8-byte offsets *and* its heap (tuples * avg_len bytes) fit too —
+/// otherwise the right side gets the three-phase varchar decluster (d).
 Plan PlanDsmPost(size_t left_cardinality, size_t right_cardinality,
                  size_t index_cardinality, size_t pi_left, size_t pi_right,
                  const hardware::MemoryHierarchy& hw, size_t num_threads = 1,
@@ -48,12 +51,6 @@ Plan PlanDsmPost(size_t left_cardinality, size_t right_cardinality,
 /// The paper's "easy vs hard" boundary: a column of `tuples` 4-byte values
 /// fits the target cache.
 bool ColumnFitsCache(size_t tuples, const hardware::MemoryHierarchy& hw);
-
-/// Varchar analogue of ColumnFitsCache: the random working set of a varchar
-/// positional join is the 8-byte offset array plus the value heap
-/// (tuples * avg_len bytes); "easy" only if both fit the target cache.
-bool VarcharColumnFitsCache(size_t tuples, size_t avg_len,
-                            const hardware::MemoryHierarchy& hw);
 
 /// Cost-model-driven choice of the partial-cluster radix bits for a
 /// decluster-side projection: minimizes

@@ -25,9 +25,9 @@ MemTracer::MemTracer(const hardware::MemoryHierarchy& hierarchy)
     : l1_(LevelOrDie(hierarchy, 0).capacity_bytes,
           static_cast<uint32_t>(LevelOrDie(hierarchy, 0).line_bytes),
           LevelOrDie(hierarchy, 0).associativity),
-      l2_(hierarchy.caches.back().capacity_bytes,
-          static_cast<uint32_t>(hierarchy.caches.back().line_bytes),
-          hierarchy.caches.back().associativity),
+      l2_(hierarchy.target_cache().capacity_bytes,
+          static_cast<uint32_t>(hierarchy.target_cache().line_bytes),
+          hierarchy.target_cache().associativity),
       tlb_(hierarchy.tlb.entries,
            static_cast<uint32_t>(hierarchy.tlb.page_bytes),
            hierarchy.tlb.associativity) {}

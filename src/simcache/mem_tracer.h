@@ -29,9 +29,12 @@ struct NoTracer {
   static constexpr bool kEnabled = false;
 };
 
-/// Tracer that models an inclusive L1/L2/TLB hierarchy. Kernels call
-/// Touch(addr, bytes) for every load/store; multi-line accesses are split
-/// into per-line probes (hardware would fetch each line once).
+/// Tracer that models an inclusive L1/L2/TLB hierarchy, its "L2" being the
+/// hierarchy's target_cache() — the cache the cost model's second level
+/// and every partitioning decision mean, not a shared last level beyond
+/// it. Kernels call Touch(addr, bytes) for every load/store; multi-line
+/// accesses are split into per-line probes (hardware would fetch each line
+/// once).
 class MemTracer {
  public:
   static constexpr bool kEnabled = true;

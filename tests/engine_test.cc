@@ -144,7 +144,10 @@ TEST(EngineTest, ExplainModeledCostMatchesCostModelDirectCalls) {
                    ex.join_cost.seconds + ex.cluster_cost.seconds +
                        ex.projection_cost.seconds + ex.decluster_cost.seconds);
   EXPECT_GT(ex.modeled_seconds, 0.0);
-  EXPECT_FALSE(ex.ToString().empty());
+  // The cache levels planned against, with the partition target marked.
+  EXPECT_NE(ex.ToString().find("\ncaches: L1 16KB x1 | L2 512KB x1 [target]"),
+            std::string::npos)
+      << ex.ToString();
 }
 
 TEST(EngineTest, ZeroThreadPoolConstructionsPerQueryAfterStartup) {
@@ -541,6 +544,59 @@ TEST(EngineTest, DefaultEngineIsUsableAndSerial) {
   QuerySpec spec;
   project::QueryRun run = eng.Execute(w, spec);
   EXPECT_EQ(run.result_cardinality, w.expected_result_size);
+}
+
+TEST(EngineTest, ProjectionCountsBeyondTheWorkloadAreInvalidArguments) {
+  // ω = 2: one projectable attribute per side, no varchar columns. Each
+  // bad count used to abort inside the executor; now Execute returns a
+  // Status before admission and the engine stays usable.
+  workload::JoinWorkload w = MakeW(1024, 7, /*omega=*/2);
+  workload::JoinWorkloadSpec no_nsm_spec;
+  no_nsm_spec.cardinality = 1024;
+  no_nsm_spec.num_attrs = 3;
+  no_nsm_spec.build_nsm = false;
+  workload::JoinWorkload no_nsm = workload::MakeJoinWorkload(no_nsm_spec);
+  for (size_t threads : {size_t{1}, size_t{3}}) {
+    Engine eng(P4Config(threads));
+    auto expect_invalid = [&](const workload::JoinWorkload& input,
+                              const QuerySpec& spec, const char* what) {
+      project::QueryRun run;
+      Status st = eng.Prepare(input, spec).Execute(&run);
+      EXPECT_EQ(st.code(), Status::Code::kInvalidArgument)
+          << what << ": " << st.ToString();
+    };
+    QuerySpec spec;
+    spec.pi_left = 5;  // far past the single projectable attribute
+    expect_invalid(w, spec, "pi_left");
+    spec = QuerySpec{};
+    spec.pi_right = 2;
+    expect_invalid(w, spec, "pi_right");
+    spec = QuerySpec{};
+    spec.pi_varchar_left = 1;
+    expect_invalid(w, spec, "pi_varchar_left");
+    spec = QuerySpec{};
+    spec.pi_varchar_right = 1;
+    spec.strategy = JoinStrategy::kNsmPreHash;
+    expect_invalid(w, spec, "pi_varchar_right");
+    spec = QuerySpec{};
+    spec.strategy = JoinStrategy::kNsmPostDecluster;
+    expect_invalid(no_nsm, spec, "NSM strategy without NSM relations");
+    EXPECT_EQ(eng.Stats().queries_executed, 0u);
+
+    // The largest valid counts still run, and match the legacy executor.
+    spec = QuerySpec{};
+    spec.pi_left = 1;
+    spec.pi_right = 1;
+    project::QueryRun run;
+    ASSERT_TRUE(eng.Prepare(w, spec).Execute(&run).ok());
+    project::QueryOptions legacy;
+    legacy.pi_left = 1;
+    legacy.pi_right = 1;
+    EXPECT_EQ(run.checksum,
+              project::RunQuery(w, JoinStrategy::kDsmPostDecluster, legacy,
+                                P4())
+                  .checksum);
+  }
 }
 
 }  // namespace

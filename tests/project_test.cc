@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <vector>
 
+#include "common/rng.h"
+#include "common/thread_pool.h"
 #include "hardware/memory_hierarchy.h"
 #include "join/partitioned_hash_join.h"
+#include "project/checksum.h"
 #include "project/dsm_post.h"
 #include "project/dsm_pre.h"
 #include "project/executor.h"
@@ -257,6 +261,98 @@ TEST(StrategyNamesTest, CodesAndNames) {
   EXPECT_STREQ(SideStrategyCode(SideStrategy::kDecluster), "d");
   EXPECT_STREQ(JoinStrategyName(JoinStrategy::kDsmPostDecluster),
                "DSM-post-decluster");
+}
+
+/// A DSM result of `n` rows: two fixed columns per side and, with
+/// `varchars`, one varchar column per side.
+storage::DsmResult ChecksumFixture(size_t n, bool varchars) {
+  storage::DsmResult r;
+  r.cardinality = n;
+  Rng rng(n + 17);
+  for (auto* side : {&r.left_columns, &r.right_columns}) {
+    for (int c = 0; c < 2; ++c) {
+      storage::Column<value_t> col(n);
+      for (size_t i = 0; i < n; ++i) {
+        col[i] = static_cast<value_t>(rng.Next() >> 33);
+      }
+      side->push_back(std::move(col));
+    }
+  }
+  if (varchars) {
+    for (auto* side : {&r.left_varchars, &r.right_varchars}) {
+      storage::VarcharColumn col;
+      for (size_t i = 0; i < n; ++i) {
+        col.Append(std::string(rng.Next() % 9, static_cast<char>('a' + i % 26)));
+      }
+      side->push_back(std::move(col));
+    }
+  }
+  return r;
+}
+
+/// The checksum's definition, row by row on one thread.
+uint64_t NaiveChecksum(const storage::DsmResult& r) {
+  uint64_t sum = 0;
+  for (size_t i = 0; i < r.cardinality; ++i) {
+    RowDigest digest;
+    for (const auto& col : r.left_columns) digest.AddValue(col[i]);
+    for (const auto& col : r.right_columns) digest.AddValue(col[i]);
+    for (const auto& col : r.left_varchars) digest.AddString(col.at(i));
+    for (const auto& col : r.right_varchars) digest.AddString(col.at(i));
+    sum = WrapAdd(sum, digest.digest());
+  }
+  return sum;
+}
+
+TEST(ChecksumTest, PooledChecksumEqualsSerialForEveryPoolSize) {
+  const size_t g = kChecksumGrainRows;
+  for (size_t n : {size_t{0}, size_t{1}, g - 1, g, 2 * g, 2 * g + 123,
+                   3 * g + 1}) {
+    for (bool varchars : {false, true}) {
+      const storage::DsmResult r = ChecksumFixture(n, varchars);
+      const uint64_t serial = ChecksumColumns(r);
+      EXPECT_EQ(serial, NaiveChecksum(r)) << "n=" << n;
+      for (size_t threads = 1; threads <= 4; ++threads) {
+        ThreadPool pool(threads);
+        EXPECT_EQ(ChecksumColumns(r, &pool), serial)
+            << "n=" << n << " varchars=" << varchars
+            << " threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST(ChecksumTest, PooledRowChecksumEqualsSerialIncludingVarcharOnlyRows) {
+  const size_t g = kChecksumGrainRows;
+  for (size_t n : {size_t{0}, g - 1, 2 * g + 123}) {
+    const storage::DsmResult cols = ChecksumFixture(n, /*varchars=*/true);
+    // The same relation row-major: the fixed values in canonical order.
+    storage::NsmResult rows(n, 4);
+    for (size_t i = 0; i < n; ++i) {
+      rows.row(i)[0] = cols.left_columns[0][i];
+      rows.row(i)[1] = cols.left_columns[1][i];
+      rows.row(i)[2] = cols.right_columns[0][i];
+      rows.row(i)[3] = cols.right_columns[1][i];
+    }
+    const uint64_t serial =
+        ChecksumRows(rows, cols.left_varchars, cols.right_varchars);
+    EXPECT_EQ(serial, NaiveChecksum(cols)) << "n=" << n;
+    // A zero-width row result: the varchar columns carry the row count.
+    storage::NsmResult empty(0, 0);
+    const uint64_t varchar_only =
+        ChecksumRows(empty, cols.left_varchars, cols.right_varchars);
+    for (size_t threads = 1; threads <= 4; ++threads) {
+      ThreadPool pool(threads);
+      EXPECT_EQ(ChecksumRows(rows, cols.left_varchars, cols.right_varchars,
+                             &pool),
+                serial)
+          << "n=" << n << " threads=" << threads;
+      EXPECT_EQ(ChecksumRows(empty, cols.left_varchars, cols.right_varchars,
+                             &pool),
+                varchar_only)
+          << "n=" << n << " threads=" << threads;
+    }
+  }
 }
 
 }  // namespace
