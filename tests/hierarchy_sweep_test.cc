@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <ostream>
-
 #include "cluster/partition_plan.h"
 #include "decluster/window.h"
 #include "hardware/memory_hierarchy.h"
@@ -23,11 +21,6 @@ struct HwCase {
   size_t target_kb;
   uint32_t tlb_entries;
 };
-
-/// gtest prints GetParam() into every test's listed name; without this it
-/// dumps the struct's bytes, `name` pointer included, so the names would
-/// change with every build.
-void PrintTo(const HwCase& c, std::ostream* os) { *os << c.name; }
 
 MemoryHierarchy MakeHw(const HwCase& c) {
   MemoryHierarchy hw;
