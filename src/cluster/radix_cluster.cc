@@ -42,10 +42,10 @@ struct IdentityRadix {
 template ClusterBorders RadixClusterMultiPass<OidPair, IdentityRadix,
                                               simcache::NoTracer>(
     OidPair*, OidPair*, size_t, IdentityRadix, const ClusterSpec&,
-    simcache::NoTracer&);
+    simcache::NoTracer&, OidPair**);
 
 template ClusterBorders RadixClusterMultiPassParallel<OidPair, IdentityRadix>(
     OidPair*, OidPair*, size_t, IdentityRadix, const ClusterSpec&,
-    ThreadPool&);
+    ThreadPool&, OidPair**);
 
 }  // namespace radix::cluster

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -101,6 +102,18 @@ struct ClusterSpec {
   uint32_t EffectivePasses() const {
     return passes == 0 ? 0 : (total_bits < passes ? total_bits : passes);
   }
+
+  /// The passes after the first: the bits below the first pass's slice, in
+  /// one pass fewer. Its PassBits() are this spec's minus the first entry,
+  /// so running the first pass and then Tail() on each resulting cluster is
+  /// the whole spec. A spec that clusters nothing is its own tail.
+  ClusterSpec Tail() const {
+    ClusterSpec tail = *this;
+    if (total_bits == 0) return tail;
+    tail.total_bits = total_bits - PassBits()[0];
+    tail.passes = passes - 1;
+    return tail;
+  }
 };
 
 /// Recoverable validation for a ClusterSpec against the radix value width
@@ -147,17 +160,20 @@ void RadixClusterPass(const T* in, T* out, size_t n, RadixFn radix_of,
 
 /// Multi-pass Radix-Cluster driver: clusters `data` (in place, using
 /// `scratch` as the alternate buffer) per `spec`, returning the final
-/// H = 2^B cluster borders. After return, the clustered data is in `data`.
+/// H = 2^B cluster borders. After return, the clustered data is in `data`
+/// — unless `result` is non-null: then an odd number of passes leaves it in
+/// `scratch` with no copy-back, and *result names the buffer that holds it.
 ///
 /// Pass p refines every cluster produced by pass p-1 using the next
 /// lower-significance slice of bits, exactly as in paper Fig. 2.
 template <typename T, typename RadixFn, typename Tracer>
 ClusterBorders RadixClusterMultiPass(T* data, T* scratch, size_t n,
                                      RadixFn radix_of, const ClusterSpec& spec,
-                                     Tracer& tracer) {
+                                     Tracer& tracer, T** result = nullptr) {
   RADIX_CHECK(ValidateClusterSpec(spec).ok());
   ClusterBorders borders;
   borders.offsets = {0, n};
+  if (result != nullptr) *result = data;
   if (spec.total_bits == 0) return borders;
 
   std::vector<radix_bits_t> pass_bits = spec.PassBits();
@@ -186,6 +202,10 @@ ClusterBorders RadixClusterMultiPass(T* data, T* scratch, size_t n,
     }
     borders.offsets = std::move(new_offsets);
     std::swap(src, dst);
+  }
+  if (result != nullptr) {
+    *result = src;
+    return borders;
   }
   if (src != data) {
     // Odd number of effective passes: the result sits in `scratch`, copy it
@@ -216,12 +236,134 @@ ClusterBorders RadixCluster(std::span<T> data, RadixFn radix_of,
                                radix_of, spec, tracer);
 }
 
-/// Parallel single pass: the classic per-thread-histogram scheme. Each
-/// thread histograms a contiguous input slice, a bucket-major/thread-minor
-/// prefix sum turns the histograms into disjoint write cursors, and each
-/// thread scatters its own slice. Because slice order == scan order and
-/// bucket b's region receives the thread slices in that same order, the
-/// output (and the borders) are byte-identical to the serial stable pass.
+namespace detail {
+
+/// The schedule of a stable pass over `items` input segments taken in
+/// order: histogram(s, h) counts segment s's tuples per bucket into `h`
+/// (2^pass_bits zeros on entry); a bucket-major, segment-minor prefix sum
+/// turns the counts into disjoint write cursors that keep scan order; then
+/// scatter(s, cursors) writes segment s's tuples, advancing its cursors.
+/// Segments run as work items on `pool` (nullptr: in order on the calling
+/// thread). Returns the pass's 2^pass_bits + 1 borders. The output equals
+/// the serial stable pass over the concatenated segments, whatever the
+/// segment boundaries.
+template <typename HistogramFn, typename ScatterFn>
+std::vector<uint64_t> SegmentedPass(size_t items, radix_bits_t pass_bits,
+                                    const HistogramFn& histogram,
+                                    const ScatterFn& scatter,
+                                    ThreadPool* pool) {
+  const size_t buckets = size_t{1} << pass_bits;
+  auto for_each_segment = [&](const std::function<void(size_t)>& body) {
+    if (pool != nullptr && pool->num_threads() > 1 && items > 1) {
+      pool->ParallelFor(items, body);
+    } else {
+      for (size_t s = 0; s < items; ++s) body(s);
+    }
+  };
+
+  std::vector<std::vector<uint64_t>> hist(items);
+  for_each_segment([&](size_t s) {
+    hist[s].assign(buckets, 0);
+    histogram(s, hist[s]);
+  });
+
+  // Global prefix sum over (bucket, segment); hist[s][b] becomes segment
+  // s's starting write cursor for bucket b.
+  std::vector<uint64_t> cursor(buckets + 1, 0);
+  uint64_t run = 0;
+  for (size_t b = 0; b < buckets; ++b) {
+    cursor[b] = run;
+    for (size_t s = 0; s < items; ++s) {
+      uint64_t count = hist[s][b];
+      hist[s][b] = run;
+      run += count;
+    }
+  }
+  cursor[buckets] = run;
+
+  for_each_segment([&](size_t s) { scatter(s, hist[s]); });
+  return cursor;
+}
+
+}  // namespace detail
+
+/// One stable histogram+scatter pass over the concatenation of
+/// `segments`, written to `out`, without materializing the concatenation
+/// (detail::SegmentedPass). Byte-identical, with `borders_out` as in
+/// RadixClusterPass, to the serial stable pass over the concatenated input.
+/// Segments run as work items on `pool`; nullptr runs them in order on the
+/// calling thread.
+///
+/// This is both the parallel pass (segments = one input slice per thread)
+/// and the fused scatter of a partitioned join's per-cluster shards into
+/// the first Radix-Cluster pass of the index (segments = the shards).
+template <typename T, typename RadixFn>
+void RadixClusterPassSegments(std::span<const std::span<const T>> segments,
+                              T* out, RadixFn radix_of, uint32_t shift,
+                              radix_bits_t pass_bits,
+                              std::vector<uint64_t>* borders_out,
+                              ThreadPool* pool) {
+  std::vector<uint64_t> borders = detail::SegmentedPass(
+      segments.size(), pass_bits,
+      [&](size_t s, std::vector<uint64_t>& h) {
+        for (const T& t : segments[s]) {
+          ++h[RadixBits(radix_of(t), shift, pass_bits)];
+        }
+      },
+      [&](size_t s, std::vector<uint64_t>& cursors) {
+        // Each segment owns disjoint cursor runs; its write-combining
+        // buffers only ever stream lines wholly inside its own runs
+        // (partial head and tail lines go through plain coherent stores),
+        // so per-item WcScatter64 instances need no synchronisation beyond
+        // the pool join.
+        simcache::NoTracer tracer;
+        detail::ScatterPass(segments[s].data(), out, segments[s].size(),
+                            radix_of, shift, pass_bits, cursors, tracer);
+      },
+      pool);
+  if (borders_out != nullptr) *borders_out = std::move(borders);
+}
+
+/// One stable pass over tuples that exist only as a function of their row
+/// — a key column plus the row number, one side of a join index plus the
+/// result position: make(i) builds tuple i, and emit(at, t) stores tuple t
+/// at position `at` of the clustered order, so no array of input tuples is
+/// written first and the output may be split across arrays. Rows run in
+/// contiguous slices on `pool` (SliceCount decides by row count). Returns
+/// the 2^pass_bits + 1 borders; byte-identical to RadixClusterPass over the
+/// materialized tuples.
+template <typename MakeFn, typename RadixFn, typename EmitFn>
+std::vector<uint64_t> RadixClusterPassRows(size_t n, const MakeFn& make,
+                                           RadixFn radix_of, uint32_t shift,
+                                           radix_bits_t pass_bits,
+                                           const EmitFn& emit,
+                                           ThreadPool* pool) {
+  const size_t slices = SliceCount(pool, n);
+  auto rows = [&](size_t s, auto&& body) {
+    for (size_t i = n * s / slices, end = n * (s + 1) / slices; i < end; ++i) {
+      body(i);
+    }
+  };
+  return detail::SegmentedPass(
+      slices, pass_bits,
+      [&](size_t s, std::vector<uint64_t>& h) {
+        rows(s, [&](size_t i) {
+          ++h[RadixBits(radix_of(make(i)), shift, pass_bits)];
+        });
+      },
+      [&](size_t s, std::vector<uint64_t>& cursors) {
+        rows(s, [&](size_t i) {
+          const auto t = make(i);
+          emit(cursors[RadixBits(radix_of(t), shift, pass_bits)]++, t);
+        });
+      },
+      slices > 1 ? pool : nullptr);
+}
+
+/// Parallel single pass: the classic per-thread-histogram scheme, i.e.
+/// RadixClusterPassSegments over one contiguous input slice per thread.
+/// Because slice order == scan order, the output (and the borders) are
+/// byte-identical to the serial stable pass.
 ///
 /// Untraced by design: MemTracer is a single sequential access stream and
 /// stays meaningful only on the serial path (pool size 1 falls back to it).
@@ -237,110 +379,91 @@ void RadixClusterPassParallel(const T* in, T* out, size_t n, RadixFn radix_of,
                      tracer);
     return;
   }
-  const size_t buckets = size_t{1} << pass_bits;
-  std::vector<size_t> slice(nthreads + 1);
-  for (size_t t = 0; t <= nthreads; ++t) slice[t] = n * t / nthreads;
+  std::vector<std::span<const T>> slices(nthreads);
+  for (size_t t = 0; t < nthreads; ++t) {
+    const size_t begin = n * t / nthreads;
+    slices[t] = {in + begin, n * (t + 1) / nthreads - begin};
+  }
+  RadixClusterPassSegments<T>(slices, out, radix_of, shift, pass_bits,
+                              borders_out, &pool);
+}
 
-  std::vector<std::vector<uint64_t>> hist(nthreads);
-  pool.ParallelFor(nthreads, [&](size_t t) {
-    std::vector<uint64_t>& h = hist[t];
-    h.assign(buckets, 0);
-    for (size_t i = slice[t]; i < slice[t + 1]; ++i) {
-      ++h[RadixBits(radix_of(in[i]), shift, pass_bits)];
-    }
-  });
-
-  // Global prefix sum over (bucket, thread); hist[t][b] becomes thread t's
-  // starting write cursor for bucket b.
-  std::vector<uint64_t> cursor(buckets + 1, 0);
-  uint64_t run = 0;
-  for (size_t b = 0; b < buckets; ++b) {
-    cursor[b] = run;
-    for (size_t t = 0; t < nthreads; ++t) {
-      uint64_t count = hist[t][b];
-      hist[t][b] = run;
-      run += count;
+/// Runs `tail` (the passes after the first, ClusterSpec::Tail()) on every
+/// cluster of `*borders`, refining them in place into the final borders.
+/// Clusters are disjoint, so each is an independent work item on `pool`
+/// (nullptr: in order on the calling thread) running the serial driver over
+/// its own ranges of `data` and `scratch`. Every cluster runs the same
+/// passes, so all results land in one buffer: the return value (`data` when
+/// `tail` clusters nothing). Byte-identical to running the passes one after
+/// another over the whole array.
+template <typename T, typename RadixFn>
+T* RadixRefineClusters(T* data, T* scratch, ClusterBorders* borders,
+                       RadixFn radix_of, const ClusterSpec& tail,
+                       ThreadPool* pool) {
+  if (tail.total_bits == 0) return data;
+  const ClusterBorders& prev = *borders;
+  const size_t nclusters = prev.num_clusters();
+  std::vector<ClusterBorders> subs(nclusters);
+  auto refine = [&](size_t c) {
+    simcache::NoTracer tracer;
+    const uint64_t begin = prev.start(c);
+    T* ignored = nullptr;
+    subs[c] = RadixClusterMultiPass(data + begin, scratch + begin,
+                                    prev.size(c), radix_of, tail, tracer,
+                                    &ignored);
+  };
+  if (pool != nullptr && pool->num_threads() > 1) {
+    pool->ParallelFor(nclusters, refine);
+  } else {
+    for (size_t c = 0; c < nclusters; ++c) refine(c);
+  }
+  std::vector<uint64_t> merged;
+  merged.reserve((nclusters << tail.total_bits) + 1);
+  merged.push_back(0);
+  for (size_t c = 0; c < nclusters; ++c) {
+    for (size_t b = 1; b < subs[c].offsets.size(); ++b) {
+      merged.push_back(prev.start(c) + subs[c].offsets[b]);
     }
   }
-  cursor[buckets] = run;
-  if (borders_out != nullptr) *borders_out = cursor;
-
-  pool.ParallelFor(nthreads, [&](size_t t) {
-    // Each thread owns disjoint cursor runs; its write-combining buffers
-    // only ever stream lines wholly inside its own runs (partial head and
-    // tail lines go through plain coherent stores), so per-thread
-    // WcScatter64 instances need no synchronisation beyond the pool join.
-    simcache::NoTracer tracer;
-    detail::ScatterPass(in + slice[t], out, slice[t + 1] - slice[t], radix_of,
-                        shift, pass_bits, hist[t], tracer);
-  });
+  borders->offsets = std::move(merged);
+  return tail.EffectivePasses() % 2 == 1 ? scratch : data;
 }
 
 /// Parallel multi-pass driver, byte-identical to RadixClusterMultiPass run
-/// with NoTracer. The first pass (one input cluster) uses the per-thread-
-/// histogram pass over the whole array; every later pass fans the previous
-/// pass's clusters out as independent work items on the pool's queue —
-/// the partition plan bounds per-pass fan-out, so each item refines a
-/// disjoint input range into a disjoint output slice and no further
-/// synchronisation is needed.
+/// with NoTracer, with the same `result` contract. The first pass (one
+/// input cluster) uses the per-thread-histogram pass over the whole array;
+/// the remaining passes fan the first pass's clusters out as independent
+/// work items (RadixRefineClusters) — the partition plan bounds per-pass
+/// fan-out, so each item refines a disjoint input range into a disjoint
+/// output slice and no further synchronisation is needed.
 template <typename T, typename RadixFn>
 ClusterBorders RadixClusterMultiPassParallel(T* data, T* scratch, size_t n,
                                              RadixFn radix_of,
                                              const ClusterSpec& spec,
-                                             ThreadPool& pool) {
+                                             ThreadPool& pool,
+                                             T** result = nullptr) {
   RADIX_CHECK(ValidateClusterSpec(spec).ok());
   if (pool.num_threads() <= 1) {
     simcache::NoTracer tracer;
-    return RadixClusterMultiPass(data, scratch, n, radix_of, spec, tracer);
+    return RadixClusterMultiPass(data, scratch, n, radix_of, spec, tracer,
+                                 result);
   }
   ClusterBorders borders;
   borders.offsets = {0, n};
-  if (spec.total_bits == 0) return borders;
-
-  std::vector<radix_bits_t> pass_bits = spec.PassBits();
-  uint32_t bits_done = 0;
-  T* src = data;
-  T* dst = scratch;
-
-  for (uint32_t p = 0; p < spec.passes; ++p) {
-    radix_bits_t bp = pass_bits[p];
-    if (bp == 0) continue;
-    bits_done += bp;
-    uint32_t shift = spec.ignore_bits + spec.total_bits - bits_done;
-
-    size_t nclusters = borders.num_clusters();
-    if (nclusters == 1) {
-      std::vector<uint64_t> sub;
-      RadixClusterPassParallel(src, dst, n, radix_of, shift, bp, &sub, pool);
-      borders.offsets = std::move(sub);
-    } else {
-      ClusterBorders prev = std::move(borders);
-      std::vector<std::vector<uint64_t>> subs(nclusters);
-      pool.ParallelFor(nclusters, [&](size_t c) {
-        simcache::NoTracer tracer;
-        uint64_t begin = prev.start(c);
-        RadixClusterPass(src + begin, dst + begin, prev.size(c), radix_of,
-                         shift, bp, &subs[c], tracer);
-      });
-      std::vector<uint64_t> merged;
-      merged.reserve((nclusters << bp) + 1);
-      merged.push_back(0);
-      for (size_t c = 0; c < nclusters; ++c) {
-        for (size_t b = 1; b < subs[c].size(); ++b) {
-          merged.push_back(prev.start(c) + subs[c][b]);
-        }
-      }
-      borders.offsets = std::move(merged);
-    }
-    std::swap(src, dst);
+  T* out = data;
+  if (spec.total_bits != 0) {
+    const radix_bits_t first = spec.PassBits()[0];
+    RadixClusterPassParallel(data, scratch, n, radix_of,
+                             spec.ignore_bits + spec.total_bits - first, first,
+                             &borders.offsets, pool);
+    out = RadixRefineClusters(scratch, data, &borders, radix_of, spec.Tail(),
+                              &pool);
   }
-  if (src != data) {
-    // Copy-back in disjoint slices (cf. the serial driver's memcpy).
-    size_t nthreads = pool.num_threads();
-    pool.ParallelFor(nthreads, [&](size_t t) {
-      size_t begin = n * t / nthreads;
-      size_t end = n * (t + 1) / nthreads;
-      std::memcpy(data + begin, src + begin, (end - begin) * sizeof(T));
+  if (result != nullptr) {
+    *result = out;
+  } else if (out != data) {
+    ForEachSlice(&pool, n, [&](size_t begin, size_t end) {
+      std::memcpy(data + begin, out + begin, (end - begin) * sizeof(T));
     });
   }
   return borders;

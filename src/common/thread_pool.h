@@ -1,6 +1,7 @@
 #ifndef RADIX_COMMON_THREAD_POOL_H_
 #define RADIX_COMMON_THREAD_POOL_H_
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstddef>
@@ -164,6 +165,37 @@ class ThreadPool {
   size_t in_flight_ RADIX_GUARDED_BY(mu_) = 0;
   bool stop_ RADIX_GUARDED_BY(mu_) = false;
 };
+
+/// Rows per slice below which a row-parallel loop (pack, unpack, fill,
+/// copy) stays on the calling thread: a slice this small costs
+/// less than handing it to a worker. Row counts, not a knob, are what keep
+/// cache-resident shapes serial.
+inline constexpr size_t kParallelSliceRows = size_t{1} << 16;
+
+/// Number of contiguous slices ForEachSlice cuts n rows into: about two per
+/// thread, none under kParallelSliceRows; 1 (serial) without a multi-thread
+/// pool.
+inline size_t SliceCount(const ThreadPool* pool, size_t n) {
+  if (pool == nullptr || pool->num_threads() <= 1) return 1;
+  return std::clamp<size_t>(n / kParallelSliceRows, 1,
+                            2 * pool->num_threads());
+}
+
+/// Runs body(begin, end) over contiguous slices covering [0, n): as
+/// SliceCount() work items on `pool`, or once as body(0, n) on the calling
+/// thread when that count is 1. Slices write disjoint ranges, so the result
+/// never depends on the split.
+template <typename Body>
+void ForEachSlice(ThreadPool* pool, size_t n, const Body& body) {
+  const size_t slices = SliceCount(pool, n);
+  if (slices <= 1) {
+    body(size_t{0}, n);
+    return;
+  }
+  pool->ParallelFor(slices, [&](size_t s) {
+    body(n * s / slices, n * (s + 1) / slices);
+  });
+}
 
 }  // namespace radix
 

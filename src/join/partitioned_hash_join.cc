@@ -5,7 +5,6 @@
 
 #include "cluster/partition_plan.h"
 #include "common/hash.h"
-#include "common/simd_kernels.h"
 #include "join/hash_join.h"
 #include "storage/column.h"
 
@@ -21,34 +20,55 @@ cluster::ClusterBorders ClusterKeyOid(std::span<const value_t> keys,
                                       ThreadPool* pool) {
   RADIX_CHECK(out.size() == keys.size());
   CheckOidCapacity(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    out[i] = {keys[i], static_cast<oid_t>(i)};
-  }
   ClusterSpec spec;
   spec.total_bits = total_bits;
   spec.ignore_bits = 0;
   spec.passes = std::max<uint32_t>(1, passes);
-  storage::Column<KeyOid> scratch(out.size());
-  auto radix = [](const KeyOid& t) -> uint64_t { return KeyHash{}(t.key); };
-  if (pool != nullptr && pool->num_threads() > 1) {
-    return cluster::RadixClusterMultiPassParallel(
-        out.data(), scratch.data(), out.size(), radix, spec, *pool);
+  RADIX_CHECK(cluster::ValidateClusterSpec(spec).ok());
+  const size_t n = keys.size();
+  ThreadPool* p = SliceCount(pool, n) > 1 ? pool : nullptr;
+  auto key_oid = [&](size_t i) {
+    return KeyOid{keys[i], static_cast<oid_t>(i)};
+  };
+  ClusterBorders borders;
+  borders.offsets = {0, n};
+  if (spec.total_bits == 0) {
+    ForEachSlice(p, n, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) out[i] = key_oid(i);
+    });
+    return borders;
   }
-  simcache::NoTracer tracer;
-  return cluster::RadixClusterMultiPass(out.data(), scratch.data(), out.size(),
-                                        radix, spec, tracer);
+
+  // The first pass reads the keys directly and builds each (key, oid) pair
+  // as it scatters it, so no filled copy is written first. Later passes
+  // alternate buffers; the first pass writes the one that makes the last
+  // pass end in `out`, so no pass count needs a copy-back.
+  const radix_bits_t first = spec.PassBits()[0];
+  const ClusterSpec tail = spec.Tail();
+  storage::Column<KeyOid> scratch(tail.total_bits > 0 ? n : 0);
+  KeyOid* first_out =
+      tail.EffectivePasses() % 2 == 1 ? scratch.data() : out.data();
+  KeyOid* other = first_out == out.data() ? scratch.data() : out.data();
+  auto radix = [](const KeyOid& t) -> uint64_t { return KeyHash{}(t.key); };
+  borders.offsets = cluster::RadixClusterPassRows(
+      n, key_oid, radix, spec.total_bits - first, first,
+      [&](uint64_t at, const KeyOid& t) { first_out[at] = t; }, p);
+  const KeyOid* result = cluster::RadixRefineClusters(
+      first_out, other, &borders, radix, tail, p);
+  RADIX_CHECK(result == out.data());
+  return borders;
 }
 
-JoinIndex PartitionedHashJoin(std::span<const value_t> left_keys,
-                              std::span<const value_t> right_keys,
-                              const hardware::MemoryHierarchy& hw,
-                              const PartitionedHashJoinOptions& options) {
+JoinShards PartitionedHashJoinShards(std::span<const value_t> left_keys,
+                                     std::span<const value_t> right_keys,
+                                     const hardware::MemoryHierarchy& hw,
+                                     const PartitionedHashJoinOptions& options) {
   radix_bits_t bits = options.radix_bits;
   if (bits == PartitionedHashJoinOptions::kAutoBits) {
     bits = cluster::PartitionedJoinBits(right_keys.size(), sizeof(KeyOid), hw);
   }
   if (bits == 0) {
-    return HashJoin(left_keys, right_keys);
+    return JoinShards(HashJoin(left_keys, right_keys));
   }
   radix_bits_t per_pass =
       options.max_pass_bits != 0 ? options.max_pass_bits : cluster::MaxPassBits(hw);
@@ -79,13 +99,12 @@ JoinIndex PartitionedHashJoin(std::span<const value_t> left_keys,
       if (lc.empty() || rc.empty()) continue;
       HashJoinKeyOid(lc, rc, &out);
     }
-    return out;
+    return JoinShards(std::move(out));
   }
 
   // Parallel join phase: clusters are disjoint, so each one joins into a
-  // private shard; concatenating the shards in cluster order reproduces
-  // the serial output byte-for-byte.
-  std::vector<std::vector<OidPair>> shards(clusters);
+  // private shard; the shards in cluster order are the serial output.
+  std::vector<OidPairs> shards(clusters);
   pool->ParallelFor(clusters, [&](size_t c) {
     std::span<const KeyOid> lc{left.data() + lb.start(c),
                                static_cast<size_t>(lb.size(c))};
@@ -96,20 +115,15 @@ JoinIndex PartitionedHashJoin(std::span<const value_t> left_keys,
     HashJoinKeyOid(lc, rc, &local);
     shards[c] = std::move(local.pairs());
   });
+  return JoinShards(std::move(shards));
+}
 
-  std::vector<uint64_t> sizes(clusters);
-  for (size_t c = 0; c < clusters; ++c) sizes[c] = shards[c].size();
-  std::vector<uint64_t> offsets(clusters + 1);
-  simd::Kernels().prefix_sum(sizes.data(), clusters, offsets.data());
-
-  JoinIndex out;
-  out.pairs().resize(offsets[clusters]);
-  pool->ParallelFor(clusters, [&](size_t c) {
-    if (shards[c].empty()) return;
-    std::copy(shards[c].begin(), shards[c].end(),
-              out.pairs().begin() + static_cast<ptrdiff_t>(offsets[c]));
-  });
-  return out;
+JoinIndex PartitionedHashJoin(std::span<const value_t> left_keys,
+                              std::span<const value_t> right_keys,
+                              const hardware::MemoryHierarchy& hw,
+                              const PartitionedHashJoinOptions& options) {
+  return PartitionedHashJoinShards(left_keys, right_keys, hw, options)
+      .Concat(options.pool);
 }
 
 }  // namespace radix::join

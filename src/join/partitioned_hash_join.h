@@ -30,17 +30,30 @@ struct PartitionedHashJoinOptions {
 
 /// Join key columns, emitting the [left-oid, right-oid] join index. With
 /// radix_bits == 0 this degenerates to naive HashJoin (the "0 = unclustered"
-/// point of Figs. 9b).
+/// point of Figs. 9b). Equal to PartitionedHashJoinShards(...).Concat().
 JoinIndex PartitionedHashJoin(std::span<const value_t> left_keys,
                               std::span<const value_t> right_keys,
                               const hardware::MemoryHierarchy& hw,
                               const PartitionedHashJoinOptions& options = {});
 
+/// The same join, stopping before the per-cluster outputs are concatenated:
+/// the parallel path returns one shard per join cluster, in cluster order;
+/// the serial and unpartitioned paths return a single shard. The row count
+/// (shards.size()) is known before any concatenation, so a planner can pick
+/// the projection strategy first and let the left side's Radix-Cluster
+/// consume the shards directly.
+JoinShards PartitionedHashJoinShards(
+    std::span<const value_t> left_keys, std::span<const value_t> right_keys,
+    const hardware::MemoryHierarchy& hw,
+    const PartitionedHashJoinOptions& options = {});
+
 /// The clustering phase in isolation: materialize (key, oid) pairs and
-/// radix-cluster them on hash(key). Exposed for benchmarks (Fig. 9a) and
-/// for strategies that interleave clustering with payload handling. A
-/// non-null pool with >1 thread runs the parallel cluster driver
-/// (byte-identical output).
+/// radix-cluster them on hash(key) into `out`. The join itself runs this
+/// code. Exposed for benchmarks (Fig. 9a) and for strategies that
+/// interleave clustering with payload handling. A non-null pool with >1
+/// thread fills the pairs in row slices and runs the parallel cluster
+/// driver (byte-identical output). The fill goes to whichever buffer makes
+/// the last pass write `out`, so no pass count needs a copy-back.
 cluster::ClusterBorders ClusterKeyOid(std::span<const value_t> keys,
                                       std::span<cluster::KeyOid> out,
                                       radix_bits_t total_bits, uint32_t passes,

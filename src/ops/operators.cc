@@ -204,17 +204,19 @@ void RadixJoinOp::Materialize() {
                                                                : nullptr;
   join::PartitionedHashJoinOptions jopts;
   jopts.pool = pool;
-  join::JoinIndex index =
-      join::PartitionedHashJoin(lkeys, rkeys, *ctx_->hw, jopts);
+  join::JoinShards shards =
+      join::PartitionedHashJoinShards(lkeys, rkeys, *ctx_->hw, jopts);
   lkeys.clear();
   lkeys.shrink_to_fit();
   rkeys.clear();
   rkeys.shrink_to_fit();
 
   // Fig. 10, left side: optionally reorder the index (sort / partial
-  // cluster on the left positions) before the positional gathers.
-  project::detail::ReorderIndexLeft(index, lrows, *ctx_->hw, physical_.left,
-                                    physical_.left_bits, pool);
+  // cluster on the left positions) before the positional gathers; a c/d
+  // left side clusters the join's shards directly.
+  join::JoinIndex index = project::detail::IndexInLeftOrder(
+      std::move(shards), lrows, *ctx_->hw, physical_.left, physical_.left_bits,
+      pool, /*ph=*/nullptr);
 
   const size_t n_out = index.size();
   result_rows_ = n_out;
@@ -241,18 +243,9 @@ void RadixJoinOp::Materialize() {
   // Right-subtree columns follow the edge's right strategy: u gathers in
   // result order; anything else runs cluster + positional join +
   // Radix-Decluster (s/c reorder the output and are not composable, so the
-  // optimizer — and this fallback — coerce them to d).
-  if (physical_.right == project::SideStrategy::kUnsorted) {
-    std::vector<std::span<const oid_t>> cols(rcols.size());
-    std::vector<std::span<oid_t>> outs(rcols.size());
-    for (size_t c = 0; c < rcols.size(); ++c) {
-      cols[c] = rcols[c];
-      outs[c] = result_cols_[n_left_cols + c];
-    }
-    join::PositionalJoinPairsColumns<oid_t, /*kLeft=*/false>(index.span(),
-                                                             cols, outs, pool);
-  } else {
-    std::vector<oid_t> ids = index.RightOids();
+  // optimizer — and this fallback — coerce them to d). The oid columns
+  // travel as value_t, the 4-byte type the projection kernels gather.
+  {
     std::vector<std::span<const value_t>> cols(rcols.size());
     std::vector<std::span<value_t>> outs(rcols.size());
     for (size_t c = 0; c < rcols.size(); ++c) {
@@ -262,9 +255,10 @@ void RadixJoinOp::Materialize() {
           reinterpret_cast<value_t*>(result_cols_[n_left_cols + c].data()),
           n_out);
     }
-    project::detail::ProjectSideWithPool(
-        ids, project::SideStrategy::kDecluster, cols, outs, rrows, *ctx_->hw,
-        physical_.right_bits, /*window_elems=*/0, /*phases=*/nullptr, pool);
+    project::detail::ProjectIndexRight(
+        index, /*keep_index=*/false, physical_.right, cols, outs, rrows,
+        *ctx_->hw, physical_.right_bits, /*window_elems=*/0,
+        /*phases=*/nullptr, pool);
   }
 
   // The children are fully consumed; release their arenas before streaming.

@@ -30,21 +30,17 @@ void DeclusterMergeSink::Run(WorkChunk& chunk) {
   }
 }
 
-void DirectGatherStage::Run(WorkChunk& chunk) {
-  const ChunkDesc& d = chunk.desc;
-  for (size_t a = 0; a < columns_.size(); ++a) {
-    join::PositionalJoinRange<value_t>(ids_, d.row_begin, d.row_end,
-                                       columns_[a],
-                                       outs_[a].data() + d.row_begin);
-  }
-}
-
 void PairsGatherStage::Run(WorkChunk& chunk) {
   const ChunkDesc& d = chunk.desc;
   for (size_t a = 0; a < columns_.size(); ++a) {
-    join::PositionalJoinPairsRange<value_t, /*kLeft=*/true>(
-        index_, d.row_begin, d.row_end, columns_[a],
-        outs_[a].data() + d.row_begin);
+    value_t* out = outs_[a].data() + d.row_begin;
+    if (left_side_) {
+      join::PositionalJoinPairsRange<value_t, /*kLeft=*/true>(
+          index_, d.row_begin, d.row_end, columns_[a], out);
+    } else {
+      join::PositionalJoinPairsRange<value_t, /*kLeft=*/false>(
+          index_, d.row_begin, d.row_end, columns_[a], out);
+    }
   }
 }
 

@@ -52,38 +52,26 @@ class DeclusterMergeSink : public ChunkStage {
   std::vector<std::span<value_t>> outs_;
 };
 
-/// Order-preserving gather (the right side's "u" strategy): result order ==
-/// id order, so each chunk gathers straight into its row range of the final
-/// columns — no intermediate at all, and no sink stage.
-class DirectGatherStage : public ChunkStage {
- public:
-  DirectGatherStage(std::span<const oid_t> ids,
-                    std::vector<std::span<const value_t>> columns,
-                    std::vector<std::span<value_t>> outs)
-      : ids_(ids), columns_(std::move(columns)), outs_(std::move(outs)) {}
-
-  void Run(WorkChunk& chunk) override;
-
- private:
-  std::span<const oid_t> ids_;
-  std::vector<std::span<const value_t>> columns_;
-  std::vector<std::span<value_t>> outs_;
-};
-
-/// Order-preserving gather off the left side of a join index (the left
-/// projections after the index has been reordered); like DirectGatherStage
-/// but reading oids from the index pairs, avoiding an oid-column copy.
+/// Order-preserving gather off one side of a join index (the left
+/// projections after the index has been reordered, or a right side u):
+/// result order is index order, so each chunk gathers straight into its
+/// row range of the final columns — no intermediate, no sink stage, and no
+/// oid-column copy.
 class PairsGatherStage : public ChunkStage {
  public:
-  PairsGatherStage(std::span<const cluster::OidPair> index,
+  PairsGatherStage(std::span<const cluster::OidPair> index, bool left_side,
                    std::vector<std::span<const value_t>> columns,
                    std::vector<std::span<value_t>> outs)
-      : index_(index), columns_(std::move(columns)), outs_(std::move(outs)) {}
+      : index_(index),
+        left_side_(left_side),
+        columns_(std::move(columns)),
+        outs_(std::move(outs)) {}
 
   void Run(WorkChunk& chunk) override;
 
  private:
   std::span<const cluster::OidPair> index_;
+  bool left_side_;
   std::vector<std::span<const value_t>> columns_;
   std::vector<std::span<value_t>> outs_;
 };

@@ -12,17 +12,12 @@ namespace radix::project {
 
 namespace {
 
-/// Wrapping sum of row_digest(i) over [0, n): serial below two grains or
-/// without a pool, else one partial sum per kChecksumGrainRows grain on
-/// `pool`, folded in grain order (the sum is commutative either way).
-template <typename RowDigestFn>
-uint64_t SumRowDigests(size_t n, ThreadPool* pool,
-                       const RowDigestFn& row_digest) {
-  auto sum_rows = [&](size_t begin, size_t end) {
-    uint64_t sum = 0;
-    for (size_t i = begin; i < end; ++i) sum = WrapAdd(sum, row_digest(i));
-    return sum;
-  };
+/// Wrapping sum of sum_rows(begin, end) over the grains of [0, n): serial
+/// below two grains or without a pool, else one partial sum per
+/// kChecksumGrainRows grain on `pool`, folded in grain order (the sum is
+/// commutative either way).
+template <typename SumRowsFn>
+uint64_t SumGrains(size_t n, ThreadPool* pool, const SumRowsFn& sum_rows) {
   const size_t grains = (n + kChecksumGrainRows - 1) / kChecksumGrainRows;
   if (pool == nullptr || grains < 2) return sum_rows(0, n);
   std::vector<uint64_t> partial(grains);
@@ -35,16 +30,63 @@ uint64_t SumRowDigests(size_t n, ThreadPool* pool,
   return sum;
 }
 
+/// Wrapping sum of row_digest(i) over [0, n), grain-parallel on `pool`.
+template <typename RowDigestFn>
+uint64_t SumRowDigests(size_t n, ThreadPool* pool,
+                       const RowDigestFn& row_digest) {
+  return SumGrains(n, pool, [&](size_t begin, size_t end) {
+    uint64_t sum = 0;
+    for (size_t i = begin; i < end; ++i) sum = WrapAdd(sum, row_digest(i));
+    return sum;
+  });
+}
+
+/// Sum of the RowDigests of rows [begin, end) of `r`, at most
+/// kChecksumBlockRows rows: each column folds into all the block's digests
+/// before the next column starts, in the canonical column order.
+uint64_t SumBlockDigests(const storage::DsmResult& r, size_t begin,
+                         size_t end) {
+  const size_t m = end - begin;
+  uint64_t d[kChecksumBlockRows];
+  std::fill(d, d + m, RowDigest::kSeed);
+  uint64_t col = 0;
+  auto fold_values = [&](const std::vector<storage::Column<value_t>>& cols) {
+    for (const auto& c : cols) {
+      const value_t* v = c.data() + begin;
+      for (size_t i = 0; i < m; ++i) {
+        d[i] = RowDigest::Fold(d[i], RowDigest::ValueTerm(v[i]), col);
+      }
+      ++col;
+    }
+  };
+  auto fold_strings = [&](const std::vector<storage::VarcharColumn>& cols) {
+    for (const auto& c : cols) {
+      for (size_t i = 0; i < m; ++i) {
+        d[i] = RowDigest::Fold(d[i], RowDigest::StringTerm(c.at(begin + i)),
+                               col);
+      }
+      ++col;
+    }
+  };
+  fold_values(r.left_columns);
+  fold_values(r.right_columns);
+  fold_strings(r.left_varchars);
+  fold_strings(r.right_varchars);
+  uint64_t sum = 0;
+  for (size_t i = 0; i < m; ++i) sum = WrapAdd(sum, d[i]);
+  return sum;
+}
+
 }  // namespace
 
 uint64_t ChecksumColumns(const storage::DsmResult& r, ThreadPool* pool) {
-  return SumRowDigests(r.cardinality, pool, [&r](size_t i) {
-    RowDigest digest;
-    for (const auto& col : r.left_columns) digest.AddValue(col[i]);
-    for (const auto& col : r.right_columns) digest.AddValue(col[i]);
-    for (const auto& col : r.left_varchars) digest.AddString(col.at(i));
-    for (const auto& col : r.right_varchars) digest.AddString(col.at(i));
-    return digest.digest();
+  return SumGrains(r.cardinality, pool, [&r](size_t begin, size_t end) {
+    uint64_t sum = 0;
+    for (size_t b = begin; b < end; b += kChecksumBlockRows) {
+      sum = WrapAdd(sum, SumBlockDigests(r, b,
+                                         std::min(end, b + kChecksumBlockRows)));
+    }
+    return sum;
   });
 }
 

@@ -34,22 +34,35 @@ namespace radix::project {
 /// pre-varchar executor did, so fixed-only checksums are unchanged.
 class RowDigest {
  public:
-  // no-sanitize reason (both methods): the column-tag add folds a 64-bit
-  // hash term with the shifted column index mod 2^64; wrap is harmless
-  // because the sum only feeds the next HashInt64 mix.
-  RADIX_NO_SANITIZE_INTEGER void AddValue(value_t v) {
-    d_ = HashInt64(d_ ^ (static_cast<uint64_t>(static_cast<uint32_t>(v)) +
-                         (col_++ << 32)));
+  /// The digest of a row with no columns.
+  static constexpr uint64_t kSeed = 0x9e3779b97f4a7c15ULL;
+
+  /// One fold step: digest `d` absorbs the hash term of column `col`.
+  // no-sanitize reason: the column-tag add folds a 64-bit hash term with
+  // the shifted column index mod 2^64; wrap is harmless because the sum
+  // only feeds the next HashInt64 mix.
+  RADIX_NO_SANITIZE_INTEGER static uint64_t Fold(uint64_t d, uint64_t term,
+                                                 uint64_t col) {
+    return HashInt64(d ^ (term + (col << 32)));
   }
 
-  RADIX_NO_SANITIZE_INTEGER void AddString(std::string_view s) {
-    d_ = HashInt64(d_ ^ (HashBytes(s.data(), s.size()) + (col_++ << 32)));
+  /// The hash term of a fixed-width value.
+  static uint64_t ValueTerm(value_t v) {
+    return static_cast<uint64_t>(static_cast<uint32_t>(v));
   }
+
+  /// The hash term of a varchar value.
+  static uint64_t StringTerm(std::string_view s) {
+    return HashBytes(s.data(), s.size());
+  }
+
+  void AddValue(value_t v) { d_ = Fold(d_, ValueTerm(v), col_++); }
+  void AddString(std::string_view s) { d_ = Fold(d_, StringTerm(s), col_++); }
 
   uint64_t digest() const { return d_; }
 
  private:
-  uint64_t d_ = 0x9e3779b97f4a7c15ULL;
+  uint64_t d_ = kSeed;
   uint64_t col_ = 0;
 };
 
@@ -57,9 +70,18 @@ class RowDigest {
 /// grains is summed serially on the calling thread.
 inline constexpr size_t kChecksumGrainRows = size_t{1} << 16;
 
+/// Rows ChecksumColumns digests side by side: it folds one column into a
+/// block of this many row digests before moving to the next column, so the
+/// per-row HashInt64 chains are independent and overlap in the pipeline
+/// instead of running one dependent chain per row.
+inline constexpr size_t kChecksumBlockRows = 256;
+
 /// The query checksum of a column-wise result: the wrapping sum of its
-/// RowDigests. The sum is order-independent, so splitting it into grains on
-/// `pool` gives the bit-identical value; nullptr sums serially.
+/// RowDigests, computed a block of rows at a time (kChecksumBlockRows) with
+/// the same fold steps in the same column order, so bit-identical to
+/// summing RowDigest row by row. The sum is order-independent, so splitting
+/// it into grains on `pool` gives the bit-identical value; nullptr sums
+/// serially.
 uint64_t ChecksumColumns(const storage::DsmResult& r,
                          ThreadPool* pool = nullptr);
 

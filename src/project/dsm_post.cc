@@ -23,12 +23,99 @@ namespace detail {
 using cluster::ClusterBorders;
 using cluster::ClusterSpec;
 
+namespace {
+
+/// The decluster side's cluster tuple: an id and the result row it feeds.
+struct IdPos {
+  oid_t id;
+  oid_t pos;
+};
+
+/// Cluster n (id, position) pairs on the id into a fresh ClusteredIds.
+/// `pack(i)` yields row i's pair. The first pass reads the pairs straight
+/// from `pack` (RadixClusterPassRows), so no packed copy is written first;
+/// a one-pass spec scatters straight into the split id and position
+/// columns, so nothing is unpacked either. Several passes stage the pairs
+/// in two buffers, and the unpack reads whichever one the last pass wrote.
+/// Byte-identical to packing all pairs and running RadixClusterMultiPass.
+template <typename PackFn>
+ClusteredIds ClusterWithPositions(size_t n, const PackFn& pack,
+                                  const ClusterSpec& spec, ThreadPool* pool) {
+  RADIX_CHECK(cluster::ValidateClusterSpec(spec).ok());
+  CheckOidCapacity(n);
+  ClusteredIds c;
+  c.ids.resize(n);
+  c.result_pos.resize(n);
+  c.borders.offsets = {0, n};
+  ThreadPool* p = SliceCount(pool, n) > 1 ? pool : nullptr;
+  auto unpack_to = [&](uint64_t at, const IdPos& t) {
+    c.ids[at] = t.id;
+    c.result_pos[at] = t.pos;
+  };
+  if (spec.total_bits == 0) {
+    ForEachSlice(p, n, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) unpack_to(i, pack(i));
+    });
+    return c;
+  }
+
+  const radix_bits_t first = spec.PassBits()[0];
+  const uint32_t shift = spec.ignore_bits + spec.total_bits - first;
+  const ClusterSpec tail = spec.Tail();
+  auto radix = [](const IdPos& t) -> uint64_t { return t.id; };
+  if (tail.total_bits == 0) {
+    c.borders.offsets = cluster::RadixClusterPassRows(n, pack, radix, shift,
+                                                      first, unpack_to, p);
+    return c;
+  }
+  UninitVector<IdPos> pairs(n);
+  UninitVector<IdPos> scratch(n);
+  c.borders.offsets = cluster::RadixClusterPassRows(
+      n, pack, radix, shift, first,
+      [&](uint64_t at, const IdPos& t) { pairs[at] = t; }, p);
+  const IdPos* clustered = cluster::RadixRefineClusters(
+      pairs.data(), scratch.data(), &c.borders, radix, tail, p);
+  ForEachSlice(p, n, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) unpack_to(i, clustered[i]);
+  });
+  return c;
+}
+
+/// The c/d left reorder fused into the join's output: scatter the shards in
+/// cluster order as the first left-oid pass (stable, so byte-identical to
+/// concatenate + pass), then run the remaining passes, keeping whichever
+/// buffer the last one wrote.
+join::JoinIndex ClusterShardsLeft(join::JoinShards shards,
+                                  const ClusterSpec& spec, ThreadPool* pool) {
+  RADIX_CHECK(cluster::ValidateClusterSpec(spec).ok());
+  const size_t n = shards.size();
+  const size_t slices = SliceCount(pool, n);
+  ThreadPool* p = slices > 1 ? pool : nullptr;
+  auto radix = [](const cluster::OidPair& t) -> uint64_t { return t.left; };
+  const radix_bits_t first = spec.PassBits()[0];
+
+  join::OidPairs out(n);
+  ClusterBorders borders;
+  cluster::RadixClusterPassSegments<cluster::OidPair>(
+      shards.Segments((n + slices - 1) / slices), out.data(), radix,
+      spec.ignore_bits + spec.total_bits - first, first, &borders.offsets, p);
+  // Free the shards before the remaining passes allocate their scratch.
+  shards.Clear();
+  const ClusterSpec tail = spec.Tail();
+  if (tail.total_bits > 0) {
+    join::OidPairs scratch(n);
+    if (cluster::RadixRefineClusters(out.data(), scratch.data(), &borders,
+                                     radix, tail, p) != out.data()) {
+      out.swap(scratch);
+    }
+  }
+  return join::JoinIndex(std::move(out));
+}
+
+}  // namespace
+
 ClusterBorders ClusterIds(std::vector<oid_t>& ids, std::vector<oid_t>& perm,
                           const ClusterSpec& spec, ThreadPool* pool) {
-  struct IdPos {
-    oid_t id;
-    oid_t pos;
-  };
   if (perm.empty()) {
     storage::Column<oid_t> scratch(ids.size());
     auto radix = [](oid_t v) -> uint64_t { return v; };
@@ -40,27 +127,33 @@ ClusterBorders ClusterIds(std::vector<oid_t>& ids, std::vector<oid_t>& perm,
     return cluster::RadixClusterMultiPass(ids.data(), scratch.data(),
                                           ids.size(), radix, spec, tracer);
   }
-  std::vector<IdPos> pairs(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    pairs[i] = {ids[i], perm[i]};
-  }
-  std::vector<IdPos> scratch(ids.size());
-  auto radix = [](const IdPos& p) -> uint64_t { return p.id; };
-  ClusterBorders borders;
-  if (pool != nullptr) {
-    borders = cluster::RadixClusterMultiPassParallel(
-        pairs.data(), scratch.data(), pairs.size(), radix, spec, *pool);
-  } else {
-    simcache::NoTracer tracer;
-    borders = cluster::RadixClusterMultiPass(pairs.data(), scratch.data(),
-                                             pairs.size(), radix, spec,
-                                             tracer);
-  }
-  for (size_t i = 0; i < ids.size(); ++i) {
-    ids[i] = pairs[i].id;
-    perm[i] = pairs[i].pos;
-  }
-  return borders;
+  RADIX_CHECK(perm.size() == ids.size());
+  ClusteredIds c = ClusterWithPositions(
+      ids.size(), [&](size_t i) { return IdPos{ids[i], perm[i]}; }, spec,
+      pool);
+  ForEachSlice(pool, ids.size(), [&](size_t begin, size_t end) {
+    std::copy(c.ids.begin() + begin, c.ids.begin() + end, ids.begin() + begin);
+    std::copy(c.result_pos.begin() + begin, c.result_pos.begin() + end,
+              perm.begin() + begin);
+  });
+  return std::move(c.borders);
+}
+
+ClusteredIds ClusterIdsWithPositions(std::span<const oid_t> ids,
+                                     const ClusterSpec& spec,
+                                     ThreadPool* pool) {
+  return ClusterWithPositions(
+      ids.size(),
+      [&](size_t i) { return IdPos{ids[i], static_cast<oid_t>(i)}; }, spec,
+      pool);
+}
+
+ClusteredIds ClusterIndexRight(std::span<const cluster::OidPair> index,
+                               const ClusterSpec& spec, ThreadPool* pool) {
+  return ClusterWithPositions(
+      index.size(),
+      [&](size_t i) { return IdPos{index[i].right, static_cast<oid_t>(i)}; },
+      spec, pool);
 }
 
 std::unique_ptr<ThreadPool> MakePool(size_t num_threads) {
@@ -99,30 +192,42 @@ ClusterSpec SpecFor(SideStrategy strategy, size_t index_tuples,
   return spec;
 }
 
-void ReorderIndexLeft(join::JoinIndex& index, size_t left_cardinality,
-                      const hardware::MemoryHierarchy& hw, SideStrategy left,
-                      radix_bits_t left_bits, ThreadPool* pool) {
-  size_t n = index.size();
+join::JoinIndex IndexInLeftOrder(join::JoinShards shards,
+                                 size_t left_cardinality,
+                                 const hardware::MemoryHierarchy& hw,
+                                 SideStrategy left, radix_bits_t left_bits,
+                                 ThreadPool* pool, PhaseBreakdown* ph) {
   CheckOidCapacity(left_cardinality);
+  PhaseBreakdown local;
+  if (ph == nullptr) ph = &local;
+  Timer timer;
+  if (left == SideStrategy::kClustered || left == SideStrategy::kDecluster) {
+    ClusterSpec spec = SpecFor(SideStrategy::kClustered, shards.size(),
+                               left_cardinality, hw, left_bits);
+    if (spec.total_bits > 0) {
+      join::JoinIndex index = ClusterShardsLeft(std::move(shards), spec, pool);
+      ph->cluster_seconds += timer.ElapsedSeconds();
+      return index;
+    }
+  }
+  join::JoinIndex index = shards.Concat(pool);
+  ph->join_seconds += timer.ElapsedSeconds();
   if (left == SideStrategy::kSorted) {
+    timer.Reset();
     cluster::RadixSortJoinIndex(index.span(),
                                 static_cast<oid_t>(left_cardinality),
                                 /*by_left=*/true);
-  } else if (left == SideStrategy::kClustered ||
-             left == SideStrategy::kDecluster) {
-    cluster::ClusterSpec spec =
-        SpecFor(SideStrategy::kClustered, n, left_cardinality, hw, left_bits);
-    storage::Column<cluster::OidPair> scratch(n);
-    auto radix = [](const cluster::OidPair& p) -> uint64_t { return p.left; };
-    if (pool != nullptr) {
-      cluster::RadixClusterMultiPassParallel(index.data(), scratch.data(), n,
-                                             radix, spec, *pool);
-    } else {
-      simcache::NoTracer tracer;
-      cluster::RadixClusterMultiPass(index.data(), scratch.data(), n, radix,
-                                     spec, tracer);
-    }
+    ph->cluster_seconds += timer.ElapsedSeconds();
   }
+  return index;
+}
+
+void ReorderIndexLeft(join::JoinIndex& index, size_t left_cardinality,
+                      const hardware::MemoryHierarchy& hw, SideStrategy left,
+                      radix_bits_t left_bits, ThreadPool* pool) {
+  index = IndexInLeftOrder(join::JoinShards(std::move(index)),
+                           left_cardinality, hw, left, left_bits, pool,
+                           nullptr);
 }
 
 }  // namespace detail
@@ -137,135 +242,107 @@ namespace {
 using cluster::ClusterBorders;
 using cluster::ClusterSpec;
 using detail::ClusterIds;
+using detail::ClusteredIds;
 using detail::MakePool;
 using detail::SpecFor;
 
-/// Positional-join the varchar columns at (re)ordered `ids`, appending one
-/// gathered column per input to `var_out`. Serial — the varchar gather
-/// builds a heap incrementally, so it has no slice-parallel form yet.
-void GatherVarchars(std::span<const oid_t> ids,
-                    const std::vector<const storage::VarcharColumn*>& cols,
-                    std::vector<storage::VarcharColumn>* var_out,
-                    PhaseBreakdown* ph, Timer* timer) {
-  if (cols.empty()) return;
-  timer->Reset();
-  for (const storage::VarcharColumn* col : cols) {
-    var_out->push_back(storage::PositionalJoinVarchar(ids, *col));
+/// The decluster side after its Radix-Cluster (paper Fig. 4): positional-
+/// join fetches each column's values in clustered order (cache-friendly);
+/// Radix-Decluster puts them back in result order.
+void ProjectClustered(const ClusteredIds& c,
+                      const std::vector<std::span<const value_t>>& columns,
+                      const std::vector<std::span<value_t>>& out,
+                      const hardware::MemoryHierarchy& hw, size_t window_elems,
+                      PhaseBreakdown* ph, ThreadPool* pool,
+                      const std::vector<const storage::VarcharColumn*>&
+                          var_columns,
+                      std::vector<storage::VarcharColumn>* var_out) {
+  const size_t n = c.ids.size();
+  Timer timer;
+  size_t window = window_elems;
+  if (window == 0) {
+    window = decluster::WindowPolicy::ChooseWindowElems(
+        hw, sizeof(value_t), c.borders.num_clusters(), n);
   }
-  ph->projection_seconds += timer->ElapsedSeconds();
+  storage::Column<value_t> clust_values(n);
+  for (size_t a = 0; a < columns.size(); ++a) {
+    timer.Reset();
+    join::PositionalJoinColumns<value_t>(c.ids, {columns[a]},
+                                         {clust_values.span()}, pool);
+    ph->projection_seconds += timer.ElapsedSeconds();
+    timer.Reset();
+    std::vector<decluster::ClusterCursor> cursors =
+        decluster::MakeCursors(c.borders);
+    if (pool != nullptr) {
+      decluster::RadixDeclusterParallel<value_t>(
+          clust_values.span(), c.result_pos, cursors, window, out[a], *pool);
+    } else {
+      decluster::RadixDecluster<value_t>(clust_values.span(), c.result_pos,
+                                         std::move(cursors), window, out[a]);
+    }
+    ph->decluster_seconds += timer.ElapsedSeconds();
+  }
+  // Varchar columns run the three-phase scheme of paper Fig. 12: fetch
+  // in clustered order, then decluster lengths -> prefix-sum -> bytes.
+  for (const storage::VarcharColumn* vc : var_columns) {
+    timer.Reset();
+    storage::VarcharColumn clustered = storage::PositionalJoinVarchar(c.ids, *vc);
+    ph->projection_seconds += timer.ElapsedSeconds();
+    timer.Reset();
+    size_t vwindow = window_elems;
+    if (vwindow == 0) {
+      // Size the insertion window for the *byte* traffic of phase 3:
+      // the window holds avg_len-byte values, not 4-byte ints.
+      size_t avg = clustered.size() == 0
+                       ? 1
+                       : std::max<size_t>(
+                             1, clustered.heap_bytes() / clustered.size());
+      vwindow = decluster::WindowPolicy::ChooseWindowElems(
+          hw, std::max(sizeof(uint32_t), avg), c.borders.num_clusters(), n);
+    }
+    var_out->push_back(decluster::RadixDeclusterVarchar(
+        clustered, c.result_pos, c.borders, vwindow));
+    ph->decluster_seconds += timer.ElapsedSeconds();
+  }
 }
 
 }  // namespace
 
 namespace detail {
 
-void ProjectSideWithPool(std::vector<oid_t>& ids, SideStrategy strategy,
-                         const std::vector<std::span<const value_t>>& columns,
-                         const std::vector<std::span<value_t>>& out,
-                         size_t column_cardinality,
-                         const hardware::MemoryHierarchy& hw,
-                         radix_bits_t bits, size_t window_elems,
-                         PhaseBreakdown* phases, ThreadPool* pool,
-                         const std::vector<const storage::VarcharColumn*>&
-                             var_columns,
-                         std::vector<storage::VarcharColumn>* var_out) {
+void ProjectIndexRight(
+    join::JoinIndex& index, bool keep_index, SideStrategy strategy,
+    const std::vector<std::span<const value_t>>& columns,
+    const std::vector<std::span<value_t>>& out, size_t column_cardinality,
+    const hardware::MemoryHierarchy& hw, radix_bits_t bits,
+    size_t window_elems, PhaseBreakdown* phases, ThreadPool* pool,
+    const std::vector<const storage::VarcharColumn*>& var_columns,
+    std::vector<storage::VarcharColumn>* var_out) {
   RADIX_CHECK(columns.size() == out.size());
   RADIX_CHECK(var_columns.empty() || var_out != nullptr);
   PhaseBreakdown local;
   PhaseBreakdown* ph = phases != nullptr ? phases : &local;
   Timer timer;
-
-  switch (strategy) {
-    case SideStrategy::kUnsorted: {
-      timer.Reset();
-      join::PositionalJoinColumns<value_t>(ids, columns, out, pool);
-      ph->projection_seconds += timer.ElapsedSeconds();
-      GatherVarchars(ids, var_columns, var_out, ph, &timer);
-      return;
+  if (strategy == SideStrategy::kUnsorted) {
+    join::PositionalJoinPairsColumns<value_t, /*kLeft=*/false>(
+        index.span(), columns, out, pool);
+    for (const storage::VarcharColumn* col : var_columns) {
+      var_out->push_back(join::PositionalJoinVarcharPairs(
+          index.span(), /*left_side=*/false, *col));
     }
-    case SideStrategy::kSorted:
-    case SideStrategy::kClustered: {
-      // Reorder the ids (full sort or partial cluster), then positional
-      // joins see sequential / cache-confined access (paper §3.1).
-      ClusterSpec spec =
-          SpecFor(strategy, ids.size(), column_cardinality, hw, bits);
-      timer.Reset();
-      std::vector<oid_t> no_perm;
-      ClusterIds(ids, no_perm, spec, pool);
-      ph->cluster_seconds += timer.ElapsedSeconds();
-      timer.Reset();
-      join::PositionalJoinColumns<value_t>(ids, columns, out, pool);
-      ph->projection_seconds += timer.ElapsedSeconds();
-      GatherVarchars(ids, var_columns, var_out, ph, &timer);
-      return;
-    }
-    case SideStrategy::kDecluster: {
-      // Paper Fig. 4: cluster (ids, result positions) on the id values;
-      // positional-join fetches values in clustered order (cache-friendly);
-      // Radix-Decluster puts each projected column back in result order.
-      ClusterSpec spec = SpecFor(SideStrategy::kClustered, ids.size(),
-                                 column_cardinality, hw, bits);
-      timer.Reset();
-      std::vector<oid_t> result_pos(ids.size());
-      CheckOidCapacity(ids.size());
-      for (size_t i = 0; i < ids.size(); ++i) {
-        result_pos[i] = static_cast<oid_t>(i);
-      }
-      ClusterBorders borders = ClusterIds(ids, result_pos, spec, pool);
-      ph->cluster_seconds += timer.ElapsedSeconds();
-
-      size_t window = window_elems;
-      if (window == 0) {
-        window = decluster::WindowPolicy::ChooseWindowElems(
-            hw, sizeof(value_t), borders.num_clusters(), ids.size());
-      }
-      storage::Column<value_t> clust_values(ids.size());
-      for (size_t a = 0; a < columns.size(); ++a) {
-        timer.Reset();
-        join::PositionalJoinColumns<value_t>(ids, {columns[a]},
-                                             {clust_values.span()}, pool);
-        ph->projection_seconds += timer.ElapsedSeconds();
-        timer.Reset();
-        std::vector<decluster::ClusterCursor> cursors =
-            decluster::MakeCursors(borders);
-        if (pool != nullptr) {
-          decluster::RadixDeclusterParallel<value_t>(
-              clust_values.span(), result_pos, cursors, window, out[a],
-              *pool);
-        } else {
-          decluster::RadixDecluster<value_t>(clust_values.span(), result_pos,
-                                             std::move(cursors), window,
-                                             out[a]);
-        }
-        ph->decluster_seconds += timer.ElapsedSeconds();
-      }
-      // Varchar columns run the three-phase scheme of paper Fig. 12: fetch
-      // in clustered order, then decluster lengths -> prefix-sum -> bytes.
-      for (const storage::VarcharColumn* vc : var_columns) {
-        timer.Reset();
-        storage::VarcharColumn clustered =
-            storage::PositionalJoinVarchar(ids, *vc);
-        ph->projection_seconds += timer.ElapsedSeconds();
-        timer.Reset();
-        size_t vwindow = window_elems;
-        if (vwindow == 0) {
-          // Size the insertion window for the *byte* traffic of phase 3:
-          // the window holds avg_len-byte values, not 4-byte ints.
-          size_t avg = clustered.size() == 0
-                           ? 1
-                           : std::max<size_t>(
-                                 1, clustered.heap_bytes() / clustered.size());
-          vwindow = decluster::WindowPolicy::ChooseWindowElems(
-              hw, std::max(sizeof(uint32_t), avg), borders.num_clusters(),
-              ids.size());
-        }
-        var_out->push_back(decluster::RadixDeclusterVarchar(
-            clustered, result_pos, borders, vwindow));
-        ph->decluster_seconds += timer.ElapsedSeconds();
-      }
-      return;
-    }
+    ph->projection_seconds += timer.ElapsedSeconds();
+    return;
   }
+  // Reordering the right ids alone would desynchronize the sides; only
+  // u and d preserve result order, as the paper notes (§4.1: sorting or
+  // partial-cluster "is only applicable to the first projection table").
+  ClusterSpec spec = SpecFor(SideStrategy::kClustered, index.size(),
+                             column_cardinality, hw, bits);
+  ClusteredIds c = ClusterIndexRight(index.span(), spec, pool);
+  if (!keep_index) index = join::JoinIndex();
+  ph->cluster_seconds += timer.ElapsedSeconds();
+  ProjectClustered(c, columns, out, hw, window_elems, ph, pool, var_columns,
+                   var_out);
 }
 
 }  // namespace detail
@@ -277,24 +354,62 @@ void ProjectSide(std::vector<oid_t>& ids, SideStrategy strategy,
                  const hardware::MemoryHierarchy& hw, radix_bits_t bits,
                  size_t window_elems, PhaseBreakdown* phases,
                  size_t num_threads) {
-  // Every strategy now has a parallel path (kUnsorted parallelizes its
-  // gather loop), so the pool is created whenever threads were requested.
-  std::unique_ptr<ThreadPool> pool = MakePool(num_threads);
-  detail::ProjectSideWithPool(ids, strategy, columns, out, column_cardinality,
-                              hw, bits, window_elems, phases, pool.get());
+  RADIX_CHECK(columns.size() == out.size());
+  // Every strategy has a parallel path (kUnsorted parallelizes its gather
+  // loop), so the pool is created whenever threads were requested.
+  std::unique_ptr<ThreadPool> owned = MakePool(num_threads);
+  ThreadPool* pool = owned.get();
+  PhaseBreakdown local;
+  PhaseBreakdown* ph = phases != nullptr ? phases : &local;
+  Timer timer;
+
+  switch (strategy) {
+    case SideStrategy::kUnsorted:
+      break;
+    case SideStrategy::kSorted:
+    case SideStrategy::kClustered: {
+      // Reorder the ids (full sort or partial cluster), then positional
+      // joins see sequential / cache-confined access (paper §3.1).
+      ClusterSpec spec =
+          SpecFor(strategy, ids.size(), column_cardinality, hw, bits);
+      std::vector<oid_t> no_perm;
+      ClusterIds(ids, no_perm, spec, pool);
+      ph->cluster_seconds += timer.ElapsedSeconds();
+      break;
+    }
+    case SideStrategy::kDecluster: {
+      // Paper Fig. 4: cluster (ids, result positions) on the id values,
+      // then gather in clustered order and decluster into result order.
+      ClusterSpec spec = SpecFor(SideStrategy::kClustered, ids.size(),
+                                 column_cardinality, hw, bits);
+      ClusteredIds c = detail::ClusterIdsWithPositions(ids, spec, pool);
+      ph->cluster_seconds += timer.ElapsedSeconds();
+      ProjectClustered(c, columns, out, hw, window_elems, ph, pool, {},
+                       nullptr);
+      return;
+    }
+  }
+  timer.Reset();
+  join::PositionalJoinColumns<value_t>(ids, columns, out, pool);
+  ph->projection_seconds += timer.ElapsedSeconds();
 }
 
-storage::DsmResult DsmPostProject(join::JoinIndex& index,
-                                  const storage::DsmRelation& left,
-                                  const storage::DsmRelation& right,
-                                  size_t pi_left, size_t pi_right,
-                                  const hardware::MemoryHierarchy& hw,
-                                  const DsmPostOptions& options,
-                                  PhaseBreakdown* phases,
-                                  const VarcharProjection* varchar) {
+namespace {
+
+/// DsmPostProject off shards; `ordered`, when non-null, receives the index
+/// in result order.
+storage::DsmResult ProjectShards(join::JoinShards shards,
+                                 const storage::DsmRelation& left,
+                                 const storage::DsmRelation& right,
+                                 size_t pi_left, size_t pi_right,
+                                 const hardware::MemoryHierarchy& hw,
+                                 const DsmPostOptions& options,
+                                 PhaseBreakdown* phases,
+                                 const VarcharProjection* varchar,
+                                 join::JoinIndex* ordered) {
   RADIX_CHECK(pi_left + 1 <= left.num_attrs());
   RADIX_CHECK(pi_right + 1 <= right.num_attrs());
-  size_t n = index.size();
+  size_t n = shards.size();
   static const VarcharProjection kNoVarchar;
   const VarcharProjection& var = varchar != nullptr ? *varchar : kNoVarchar;
 
@@ -308,19 +423,18 @@ storage::DsmResult DsmPostProject(join::JoinIndex& index,
   result.right_varchars.reserve(var.right.size());
 
   // Reordering the join index on the left side must carry the right oids
-  // along: cluster/sort the [l,r] pairs, then split into two id columns.
+  // along: cluster/sort the [l,r] pairs; the right side then reads its oids
+  // straight off the reordered pairs.
   PhaseBreakdown local;
   PhaseBreakdown* ph = phases != nullptr ? phases : &local;
   std::unique_ptr<ThreadPool> owned;
   ThreadPool* pool = detail::ResolveKernelPool(options, &owned);
-  Timer timer;
-  timer.Reset();
-  detail::ReorderIndexLeft(index, left.cardinality(), hw, options.left,
-                           options.left_bits, pool);
-  ph->cluster_seconds += timer.ElapsedSeconds();
+  join::JoinIndex index =
+      detail::IndexInLeftOrder(std::move(shards), left.cardinality(), hw,
+                               options.left, options.left_bits, pool, ph);
 
   // Left projections: ids now (partially) ordered; plain positional joins.
-  timer.Reset();
+  Timer timer;
   std::vector<std::span<const value_t>> left_cols(pi_left);
   std::vector<std::span<value_t>> left_out(pi_left);
   for (size_t a = 0; a < pi_left; ++a) {
@@ -341,29 +455,48 @@ storage::DsmResult DsmPostProject(join::JoinIndex& index,
     ph->projection_seconds += timer.ElapsedSeconds();
   }
 
-  // Right projections in the (possibly re-ordered) result order.
-  std::vector<oid_t> right_ids = index.RightOids();
+  // Right projections in the (possibly re-ordered) result order, on this
+  // function's pool rather than a second one.
   std::vector<std::span<const value_t>> right_cols(pi_right);
   std::vector<std::span<value_t>> right_out(pi_right);
   for (size_t a = 0; a < pi_right; ++a) {
     right_cols[a] = right.attr(1 + a).span();
     right_out[a] = result.right_columns[a].span();
   }
-  SideStrategy right_strategy = options.right;
-  if (right_strategy == SideStrategy::kSorted ||
-      right_strategy == SideStrategy::kClustered) {
-    // Reordering the right ids alone would desynchronize the sides; only
-    // u and d preserve result order, as the paper notes (§4.1: sorting or
-    // partial-cluster "is only applicable to the first projection table").
-    right_strategy = SideStrategy::kDecluster;
-  }
-  // Reuse this function's pool for the right side rather than spawning a
-  // second one.
-  detail::ProjectSideWithPool(right_ids, right_strategy, right_cols, right_out,
-                              right.cardinality(), hw, options.right_bits,
-                              options.window_elems, ph, pool, var.right,
-                              &result.right_varchars);
+  detail::ProjectIndexRight(index, /*keep_index=*/ordered != nullptr,
+                            options.right, right_cols, right_out,
+                            right.cardinality(), hw, options.right_bits,
+                            options.window_elems, ph, pool, var.right,
+                            &result.right_varchars);
+  if (ordered != nullptr) *ordered = std::move(index);
   return result;
+}
+
+}  // namespace
+
+storage::DsmResult DsmPostProject(join::JoinIndex& index,
+                                  const storage::DsmRelation& left,
+                                  const storage::DsmRelation& right,
+                                  size_t pi_left, size_t pi_right,
+                                  const hardware::MemoryHierarchy& hw,
+                                  const DsmPostOptions& options,
+                                  PhaseBreakdown* phases,
+                                  const VarcharProjection* varchar) {
+  return ProjectShards(join::JoinShards(std::move(index)), left, right,
+                       pi_left, pi_right, hw, options, phases, varchar,
+                       &index);
+}
+
+storage::DsmResult DsmPostProject(join::JoinShards shards,
+                                  const storage::DsmRelation& left,
+                                  const storage::DsmRelation& right,
+                                  size_t pi_left, size_t pi_right,
+                                  const hardware::MemoryHierarchy& hw,
+                                  const DsmPostOptions& options,
+                                  PhaseBreakdown* phases,
+                                  const VarcharProjection* varchar) {
+  return ProjectShards(std::move(shards), left, right, pi_left, pi_right, hw,
+                       options, phases, varchar, nullptr);
 }
 
 }  // namespace radix::project

@@ -6,6 +6,7 @@
 
 #include "common/thread_pool.h"
 #include "common/types.h"
+#include "common/uninit_vector.h"
 #include "hardware/memory_hierarchy.h"
 #include "join/join_index.h"
 #include "project/strategy.h"
@@ -64,6 +65,11 @@ struct VarcharProjection {
 /// order). Projects attributes 1..pi of each relation. Returns the result
 /// columns plus phase timings.
 ///
+/// The glue between the kernels runs on the pool too: the left reorder
+/// scatters into a fresh array and keeps whichever buffer its last pass
+/// wrote; a right side u gathers straight off the index; a right side d
+/// packs (right oid, result position) off the index in row slices.
+///
 /// `varchar`, when non-null, projects the listed variable-size columns
 /// alongside the fixed ones into DsmResult::{left,right}_varchars, in the
 /// same result order: left varchars gather off the reordered index; right
@@ -81,10 +87,26 @@ storage::DsmResult DsmPostProject(join::JoinIndex& index,
                                   PhaseBreakdown* phases = nullptr,
                                   const VarcharProjection* varchar = nullptr);
 
-/// Project one side only, with an explicit strategy; building block used by
-/// the full projector and benchmarked in isolation in Fig. 8.
-/// For kDecluster the ids are re-clustered internally; `out[a]` receives
-/// column `columns[a]` fetched at `ids` in result order.
+/// DsmPostProject straight off a join's shards (join::PartitionedHashJoin-
+/// Shards), byte-identical to concatenating them first. For a c/d left side
+/// the shards are scattered in cluster order as the first left-oid
+/// Radix-Cluster pass (the paper's §3 partial cluster applied to the radix
+/// join's output), so the concatenating copy never happens; the scatter
+/// counts in phases->cluster_seconds. For u/s the shards are concatenated,
+/// which counts in phases->join_seconds.
+storage::DsmResult DsmPostProject(join::JoinShards shards,
+                                  const storage::DsmRelation& left,
+                                  const storage::DsmRelation& right,
+                                  size_t pi_left, size_t pi_right,
+                                  const hardware::MemoryHierarchy& hw,
+                                  const DsmPostOptions& options,
+                                  PhaseBreakdown* phases = nullptr,
+                                  const VarcharProjection* varchar = nullptr);
+
+/// Project one side only, with an explicit strategy; benchmarked in
+/// isolation in Fig. 8. s and c reorder `ids` in place; for kDecluster the
+/// ids are clustered into a copy and `out[a]` receives column `columns[a]`
+/// fetched at `ids` in result order.
 void ProjectSide(std::vector<oid_t>& ids, SideStrategy strategy,
                  const std::vector<std::span<const value_t>>& columns,
                  const std::vector<std::span<value_t>>& out,
@@ -104,6 +126,14 @@ void ProjectSide(std::vector<oid_t>& ids, SideStrategy strategy,
 /// streamed sections' wall time lands in phases->pipeline_wall_seconds.
 storage::DsmResult DsmPostProjectStreaming(
     join::JoinIndex& index, const storage::DsmRelation& left,
+    const storage::DsmRelation& right, size_t pi_left, size_t pi_right,
+    const hardware::MemoryHierarchy& hw, const DsmPostOptions& options,
+    size_t chunk_rows, PhaseBreakdown* phases = nullptr);
+
+/// DsmPostProjectStreaming straight off a join's shards; see the shards
+/// overload of DsmPostProject.
+storage::DsmResult DsmPostProjectStreaming(
+    join::JoinShards shards, const storage::DsmRelation& left,
     const storage::DsmRelation& right, size_t pi_left, size_t pi_right,
     const hardware::MemoryHierarchy& hw, const DsmPostOptions& options,
     size_t chunk_rows, PhaseBreakdown* phases = nullptr);
@@ -138,26 +168,69 @@ cluster::ClusterSpec SpecFor(SideStrategy strategy, size_t index_tuples,
 /// returning the borders. Keeps a parallel permutation `perm` in sync so
 /// callers can track where each result row went (needed by the decluster
 /// side). `perm` may be empty to skip that bookkeeping. A non-null `pool`
-/// runs the parallel multi-pass kernel (byte-identical output).
+/// runs the parallel kernels (byte-identical output). With `perm`, this is
+/// the fused (id, perm) cluster of ClusterIdsWithPositions, copied back in
+/// row slices.
 cluster::ClusterBorders ClusterIds(std::vector<oid_t>& ids,
                                    std::vector<oid_t>& perm,
                                    const cluster::ClusterSpec& spec,
                                    ThreadPool* pool);
 
+/// One projection side's ids after the decluster side's Radix-Cluster:
+/// the ids in clustered order, each one's result position, and the
+/// cluster borders — the inputs of the clustered gather and of
+/// Radix-Decluster (paper Fig. 4).
+struct ClusteredIds {
+  UninitVector<oid_t> ids;
+  UninitVector<oid_t> result_pos;
+  cluster::ClusterBorders borders;
+};
+
+/// Cluster `ids` with result position i for row i. The positions are
+/// written while packing the (id, position) pairs, so no position column
+/// is filled first.
+ClusteredIds ClusterIdsWithPositions(std::span<const oid_t> ids,
+                                     const cluster::ClusterSpec& spec,
+                                     ThreadPool* pool);
+
+/// The right side's d pack off a join index: (index[i].right, i), packed
+/// in row slices on `pool` straight from the index, then clustered. The
+/// one helper behind the materializing, streaming and ops/ projectors.
+ClusteredIds ClusterIndexRight(std::span<const cluster::OidPair> index,
+                               const cluster::ClusterSpec& spec,
+                               ThreadPool* pool);
+
+/// The join index in the left side's result order, straight from the
+/// join's shards. c and d scatter the shards in cluster order as the first
+/// left-oid Radix-Cluster pass and run any remaining passes in place of a
+/// copy-back (timed in ph->cluster_seconds); u concatenates and s
+/// concatenates and sorts (the concatenation timed in ph->join_seconds).
+/// `ph` may be null.
+join::JoinIndex IndexInLeftOrder(join::JoinShards shards,
+                                 size_t left_cardinality,
+                                 const hardware::MemoryHierarchy& hw,
+                                 SideStrategy left, radix_bits_t left_bits,
+                                 ThreadPool* pool, PhaseBreakdown* ph);
+
 /// The left-side index reorder of DsmPostProject (sort, or cluster on the
-/// left oids carrying the right oids along); no-op for kUnsorted.
+/// left oids carrying the right oids along); no-op for kUnsorted. The
+/// index as a single shard through IndexInLeftOrder.
 void ReorderIndexLeft(join::JoinIndex& index, size_t left_cardinality,
                       const hardware::MemoryHierarchy& hw, SideStrategy left,
                       radix_bits_t left_bits, ThreadPool* pool);
 
-/// ProjectSide against a caller-owned pool (nullptr = serial kernels), so
-/// one pool serves both sides of a projection — and, in the ops/ layer,
-/// one session pool serves every join edge of a plan. `var_columns` /
-/// `var_out` carry the variable-size projections of the same side (paper
-/// §5): gathered with the fixed columns for u/s/c, or run through the
-/// three-phase varchar Radix-Decluster for d.
-void ProjectSideWithPool(
-    std::vector<oid_t>& ids, SideStrategy strategy,
+/// The right side of a post-projection, in the result order `index` fixes:
+/// u gathers straight off the index's right oids; d clusters them
+/// (ClusterIndexRight), gathers in clustered order and Radix-Declusters
+/// into `out`. Unless `keep_index`, d frees `index` once its oids are
+/// packed, so the index and the decluster's buffers are not resident at
+/// the same time. s and c would reorder the result, so they run as d (paper
+/// §4.1). `var_columns` / `var_out` carry the side's variable-size
+/// projections (paper §5): gathered off the index for u, or run through
+/// the three-phase varchar Radix-Decluster for d. `pool` may be null
+/// (serial kernels), and so may `phases`.
+void ProjectIndexRight(
+    join::JoinIndex& index, bool keep_index, SideStrategy strategy,
     const std::vector<std::span<const value_t>>& columns,
     const std::vector<std::span<value_t>>& out, size_t column_cardinality,
     const hardware::MemoryHierarchy& hw, radix_bits_t bits,

@@ -1,13 +1,13 @@
 // Streamed DSM post-projection: the query-specific wiring of the generic
 // pipeline/ subsystem. The blocking phases (index reorder, right-side
-// cluster) run exactly as in the materializing projector; everything
-// downstream — per-column positional gather and Radix-Decluster window
-// merge — flows through StreamingExecutor in cluster-aligned chunks, so
-// the two stages overlap and intermediates stay chunk-sized.
+// cluster) run exactly as in the materializing projector, through the same
+// helpers; everything downstream — per-column positional gather and
+// Radix-Decluster window merge — flows through StreamingExecutor in
+// cluster-aligned chunks, so the two stages overlap and intermediates stay
+// chunk-sized.
 
 #include <algorithm>
 #include <memory>
-#include <numeric>
 
 #include "common/timer.h"
 #include "decluster/window.h"
@@ -17,14 +17,21 @@
 
 namespace radix::project {
 
-storage::DsmResult DsmPostProjectStreaming(
-    join::JoinIndex& index, const storage::DsmRelation& left,
-    const storage::DsmRelation& right, size_t pi_left, size_t pi_right,
-    const hardware::MemoryHierarchy& hw, const DsmPostOptions& options,
-    size_t chunk_rows, PhaseBreakdown* phases) {
+namespace {
+
+/// DsmPostProjectStreaming off shards; `ordered`, when non-null, receives
+/// the index in result order.
+storage::DsmResult StreamShards(join::JoinShards shards,
+                                const storage::DsmRelation& left,
+                                const storage::DsmRelation& right,
+                                size_t pi_left, size_t pi_right,
+                                const hardware::MemoryHierarchy& hw,
+                                const DsmPostOptions& options,
+                                size_t chunk_rows, PhaseBreakdown* phases,
+                                join::JoinIndex* ordered) {
   RADIX_CHECK(pi_left + 1 <= left.num_attrs());
   RADIX_CHECK(pi_right + 1 <= right.num_attrs());
-  size_t n = index.size();
+  size_t n = shards.size();
   if (chunk_rows == 0) chunk_rows = DefaultChunkRows(hw);
 
   storage::DsmResult result;
@@ -42,10 +49,9 @@ storage::DsmResult DsmPostProjectStreaming(
 
   // Blocking prefix, identical to DsmPostProject: byte-identical inputs to
   // the streamed stages guarantee byte-identical output columns.
-  timer.Reset();
-  detail::ReorderIndexLeft(index, left.cardinality(), hw, options.left,
-                           options.left_bits, pool);
-  ph->cluster_seconds += timer.ElapsedSeconds();
+  join::JoinIndex index =
+      detail::IndexInLeftOrder(std::move(shards), left.cardinality(), hw,
+                               options.left, options.left_bits, pool, ph);
 
   pipeline::ExecutorOptions xopts;
   xopts.pool = pool;
@@ -61,71 +67,87 @@ storage::DsmResult DsmPostProjectStreaming(
       outs[a] = result.left_columns[a].span();
     }
     pipeline::ChunkPlan plan = pipeline::MakeRowChunks(n, chunk_rows);
-    pipeline::PairsGatherStage gather(index.span(), std::move(cols),
-                                      std::move(outs));
+    pipeline::PairsGatherStage gather(index.span(), /*left_side=*/true,
+                                      std::move(cols), std::move(outs));
     pipeline::StreamingExecutor exec(xopts);
     pipeline::PipelineStats stats;
     ph->pipeline_wall_seconds += exec.Run(plan, gather, nullptr, &stats);
     ph->projection_seconds += stats.gather_busy_seconds;
   }
 
-  std::vector<oid_t> right_ids = index.RightOids();
   std::vector<std::span<const value_t>> cols(pi_right);
   std::vector<std::span<value_t>> outs(pi_right);
   for (size_t a = 0; a < pi_right; ++a) {
     cols[a] = right.attr(1 + a).span();
     outs[a] = result.right_columns[a].span();
   }
-  SideStrategy right_strategy = options.right;
-  if (right_strategy == SideStrategy::kSorted ||
-      right_strategy == SideStrategy::kClustered) {
-    // Same §4.1 rule as the materializing projector: only u and d preserve
-    // the result order the left side fixed.
-    right_strategy = SideStrategy::kDecluster;
-  }
 
-  if (right_strategy == SideStrategy::kUnsorted) {
+  if (options.right == SideStrategy::kUnsorted) {
+    // Result order is index order: gather off the index's right oids.
     pipeline::ChunkPlan plan = pipeline::MakeRowChunks(n, chunk_rows);
-    pipeline::DirectGatherStage gather(right_ids, std::move(cols),
-                                       std::move(outs));
+    pipeline::PairsGatherStage gather(index.span(), /*left_side=*/false,
+                                      std::move(cols), std::move(outs));
     pipeline::StreamingExecutor exec(xopts);
     pipeline::PipelineStats stats;
     ph->pipeline_wall_seconds += exec.Run(plan, gather, nullptr, &stats);
     ph->projection_seconds += stats.gather_busy_seconds;
-    return result;
-  }
+  } else {
+    // Decluster side — s and c too, by the same §4.1 rule as the
+    // materializing projector: only u and d preserve the result order the
+    // left side fixed. Blocking: cluster (right id, result position) pairs
+    // on the id values. Streamed: gather chunk k+1's values while chunk
+    // k's window merge scatters into the result.
+    timer.Reset();
+    cluster::ClusterSpec spec =
+        detail::SpecFor(SideStrategy::kClustered, n, right.cardinality(), hw,
+                        options.right_bits);
+    detail::ClusteredIds c = detail::ClusterIndexRight(index.span(), spec, pool);
+    // The streamed stages read only `c`; free the index unless the caller
+    // keeps it.
+    if (ordered == nullptr) index = join::JoinIndex();
+    ph->cluster_seconds += timer.ElapsedSeconds();
 
-  // Decluster side. Blocking: cluster (right id, result position) pairs on
-  // the id values. Streamed: gather chunk k+1's values while chunk k's
-  // window merge scatters into the result.
-  timer.Reset();
-  std::vector<oid_t> result_pos(n);
-  std::iota(result_pos.begin(), result_pos.end(), oid_t{0});
-  cluster::ClusterSpec spec = detail::SpecFor(
-      SideStrategy::kClustered, n, right.cardinality(), hw,
-      options.right_bits);
-  cluster::ClusterBorders borders =
-      detail::ClusterIds(right_ids, result_pos, spec, pool);
-  ph->cluster_seconds += timer.ElapsedSeconds();
-
-  size_t window = options.window_elems;
-  if (window == 0) {
-    window = decluster::WindowPolicy::ChooseWindowElems(
-        hw, sizeof(value_t), borders.num_clusters(), n);
+    size_t window = options.window_elems;
+    if (window == 0) {
+      window = decluster::WindowPolicy::ChooseWindowElems(
+          hw, sizeof(value_t), c.borders.num_clusters(), n);
+    }
+    pipeline::ChunkPlan plan =
+        pipeline::MakeClusterAlignedChunks(c.borders, chunk_rows);
+    xopts.buffer_columns = pi_right;
+    xopts.buffer_rows = plan.max_rows;
+    pipeline::ClusteredGatherStage gather(c.ids, std::move(cols));
+    pipeline::DeclusterMergeSink sink(c.result_pos, &c.borders, window,
+                                      std::move(outs));
+    pipeline::StreamingExecutor exec(xopts);
+    pipeline::PipelineStats stats;
+    ph->pipeline_wall_seconds += exec.Run(plan, gather, &sink, &stats);
+    ph->projection_seconds += stats.gather_busy_seconds;
+    ph->decluster_seconds += stats.sink_busy_seconds;
   }
-  pipeline::ChunkPlan plan =
-      pipeline::MakeClusterAlignedChunks(borders, chunk_rows);
-  xopts.buffer_columns = pi_right;
-  xopts.buffer_rows = plan.max_rows;
-  pipeline::ClusteredGatherStage gather(right_ids, std::move(cols));
-  pipeline::DeclusterMergeSink sink(result_pos, &borders, window,
-                                    std::move(outs));
-  pipeline::StreamingExecutor exec(xopts);
-  pipeline::PipelineStats stats;
-  ph->pipeline_wall_seconds += exec.Run(plan, gather, &sink, &stats);
-  ph->projection_seconds += stats.gather_busy_seconds;
-  ph->decluster_seconds += stats.sink_busy_seconds;
+  if (ordered != nullptr) *ordered = std::move(index);
   return result;
+}
+
+}  // namespace
+
+storage::DsmResult DsmPostProjectStreaming(
+    join::JoinIndex& index, const storage::DsmRelation& left,
+    const storage::DsmRelation& right, size_t pi_left, size_t pi_right,
+    const hardware::MemoryHierarchy& hw, const DsmPostOptions& options,
+    size_t chunk_rows, PhaseBreakdown* phases) {
+  return StreamShards(join::JoinShards(std::move(index)), left, right,
+                      pi_left, pi_right, hw, options, chunk_rows, phases,
+                      &index);
+}
+
+storage::DsmResult DsmPostProjectStreaming(
+    join::JoinShards shards, const storage::DsmRelation& left,
+    const storage::DsmRelation& right, size_t pi_left, size_t pi_right,
+    const hardware::MemoryHierarchy& hw, const DsmPostOptions& options,
+    size_t chunk_rows, PhaseBreakdown* phases) {
+  return StreamShards(std::move(shards), left, right, pi_left, pi_right, hw,
+                      options, chunk_rows, phases, nullptr);
 }
 
 }  // namespace radix::project

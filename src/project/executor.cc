@@ -105,16 +105,20 @@ ThreadPool* ResolveQueryPool(const QueryOptions& options) {
 
 /// Shared prologue of the materializing and streaming kDsmPostDecluster
 /// paths: run the join phase and resolve the per-side plan. Kept in one
-/// place so the two entry points can never plan differently.
-join::JoinIndex JoinAndPlanDsmPost(const workload::JoinWorkload& w,
-                                   const QueryOptions& options,
-                                   const hardware::MemoryHierarchy& hw,
-                                   ThreadPool* pool, QueryRun* run,
-                                   DsmPostOptions* popts) {
+/// place so the two entry points can never plan differently. The plan
+/// needs only the row count, which the join's shards know, so the index is
+/// not materialized here: the projector turns the shards into the index
+/// in the planned left order (a c/d left side fuses the concatenation into
+/// its first Radix-Cluster pass).
+join::JoinShards JoinAndPlanDsmPost(const workload::JoinWorkload& w,
+                                    const QueryOptions& options,
+                                    const hardware::MemoryHierarchy& hw,
+                                    ThreadPool* pool, QueryRun* run,
+                                    DsmPostOptions* popts) {
   Timer join_timer;
   join::PartitionedHashJoinOptions jopts;
   jopts.pool = pool;
-  join::JoinIndex index = join::PartitionedHashJoin(
+  join::JoinShards shards = join::PartitionedHashJoinShards(
       w.dsm_left.key().span(), w.dsm_right.key().span(), hw, jopts);
   run->phases.join_seconds = join_timer.ElapsedSeconds();
 
@@ -124,7 +128,7 @@ join::JoinIndex JoinAndPlanDsmPost(const workload::JoinWorkload& w,
     size_t avg_right = workload::AverageVarcharBytes(
         w.right_varchars, options.pi_varchar_right);
     Plan plan = PlanDsmPost(w.dsm_left.cardinality(),
-                            w.dsm_right.cardinality(), index.size(),
+                            w.dsm_right.cardinality(), shards.size(),
                             options.pi_left, options.pi_right, hw,
                             options.num_threads, options.pi_varchar_left,
                             options.pi_varchar_right, avg_left, avg_right);
@@ -150,7 +154,7 @@ join::JoinIndex JoinAndPlanDsmPost(const workload::JoinWorkload& w,
     popts->num_threads = options.pool->num_threads();
   }
   run->threads_used = pool != nullptr ? pool->num_threads() : 1;
-  return index;
+  return shards;
 }
 
 }  // namespace
@@ -185,13 +189,13 @@ QueryRun RunQuery(const workload::JoinWorkload& w, JoinStrategy strategy,
   switch (strategy) {
     case JoinStrategy::kDsmPostDecluster: {
       DsmPostOptions popts;
-      join::JoinIndex index =
+      join::JoinShards shards =
           JoinAndPlanDsmPost(w, options, hw, pool, &run, &popts);
       VarcharProjection var = SelectVarchars(w, options);
-      storage::DsmResult result =
-          DsmPostProject(index, w.dsm_left, w.dsm_right, options.pi_left,
-                         options.pi_right, hw, popts, &run.phases,
-                         WantsVarchar(options) ? &var : nullptr);
+      storage::DsmResult result = DsmPostProject(
+          std::move(shards), w.dsm_left, w.dsm_right, options.pi_left,
+          options.pi_right, hw, popts, &run.phases,
+          WantsVarchar(options) ? &var : nullptr);
       run.seconds = total.ElapsedSeconds();
       run.result_cardinality = result.cardinality;
       run.checksum = ChecksumColumns(result, pool);
@@ -295,11 +299,11 @@ QueryRun RunQueryStreaming(const workload::JoinWorkload& w,
   Timer total;
   ThreadPool* pool = ResolveQueryPool(options);
   DsmPostOptions popts;
-  join::JoinIndex index =
+  join::JoinShards shards =
       JoinAndPlanDsmPost(w, options, hw, pool, &run, &popts);
   storage::DsmResult result = DsmPostProjectStreaming(
-      index, w.dsm_left, w.dsm_right, options.pi_left, options.pi_right, hw,
-      popts, options.chunk_rows, &run.phases);
+      std::move(shards), w.dsm_left, w.dsm_right, options.pi_left,
+      options.pi_right, hw, popts, options.chunk_rows, &run.phases);
   run.seconds = total.ElapsedSeconds();
   run.result_cardinality = result.cardinality;
   run.checksum = ChecksumColumns(result, pool);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "cluster/radix_sort.h"
 #include "common/hash.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "workload/distributions.h"
 
 namespace radix::cluster {
@@ -331,6 +333,103 @@ TEST(ClusterSpecTest, PassBitsSumToTotal) {
       for (radix_bits_t pb : pass_bits) sum += pb;
       EXPECT_EQ(sum, bits);
     }
+  }
+}
+
+
+TEST(ClusterSpecTest, TailIsPassBitsWithoutTheFirst) {
+  for (uint32_t passes = 1; passes <= 5; ++passes) {
+    for (radix_bits_t bits = 1; bits <= 24; ++bits) {
+      ClusterSpec spec{.total_bits = bits, .ignore_bits = 3, .passes = passes};
+      ClusterSpec tail = spec.Tail();
+      std::vector<radix_bits_t> expected = spec.PassBits();
+      expected.erase(expected.begin());
+      EXPECT_EQ(tail.passes, passes - 1);
+      EXPECT_EQ(tail.ignore_bits, spec.ignore_bits);
+      EXPECT_EQ(tail.total_bits, bits - spec.PassBits()[0]);
+      if (tail.total_bits > 0) {
+        EXPECT_EQ(tail.PassBits(), expected);
+      }
+    }
+  }
+  ClusterSpec none{.total_bits = 0, .ignore_bits = 0, .passes = 2};
+  EXPECT_EQ(none.Tail().total_bits, 0u);
+}
+
+/// Pairs whose `left` is the cluster key and whose `right` records the
+/// input position, so any instability or loss shows in the output bytes.
+std::vector<OidPair> TaggedPairs(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<OidPair> v(n);
+  for (size_t i = 0; i < n; ++i) {
+    v[i] = {static_cast<oid_t>(rng.Below(1u << 16)), static_cast<oid_t>(i)};
+  }
+  return v;
+}
+
+bool SameBytes(const OidPair* a, const OidPair* b, size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(OidPair)) == 0;
+}
+
+TEST(RadixClusterDriverTest, ResultBufferFollowsPassParityWithoutCopyBack) {
+  auto radix = [](const OidPair& p) -> uint64_t { return p.left; };
+  for (size_t n : {size_t{0}, size_t{1}, size_t{1000},
+                   kParallelSliceRows + 1}) {
+    const std::vector<OidPair> input = TaggedPairs(n, n + 3);
+    for (uint32_t passes = 1; passes <= 3; ++passes) {
+      ClusterSpec spec{.total_bits = 9, .ignore_bits = 4, .passes = passes};
+      // Reference: the serial driver with its copy-back.
+      std::vector<OidPair> expected = input;
+      std::vector<OidPair> scratch(n);
+      simcache::NoTracer tracer;
+      ClusterBorders want = RadixClusterMultiPass(
+          expected.data(), scratch.data(), n, radix, spec, tracer);
+      for (size_t threads = 1; threads <= 4; ++threads) {
+        ThreadPool pool(threads);
+        std::vector<OidPair> data = input;
+        std::vector<OidPair> alt(n);
+        OidPair* result = nullptr;
+        ClusterBorders got = RadixClusterMultiPassParallel(
+            data.data(), alt.data(), n, radix, spec, pool, &result);
+        EXPECT_EQ(result, passes % 2 == 1 ? alt.data() : data.data())
+            << "n=" << n << " passes=" << passes;
+        EXPECT_TRUE(SameBytes(result, expected.data(), n))
+            << "n=" << n << " passes=" << passes << " threads=" << threads;
+        EXPECT_EQ(got.offsets, want.offsets);
+        // Without `result` the driver still copies back into `data`.
+        std::vector<OidPair> in_place = input;
+        RadixClusterMultiPassParallel(in_place.data(), alt.data(), n, radix,
+                                      spec, pool);
+        EXPECT_TRUE(SameBytes(in_place.data(), expected.data(), n));
+      }
+    }
+  }
+}
+
+TEST(RadixClusterPassSegmentsTest, EqualsSerialPassForAnySplitAndEmptySegments) {
+  auto radix = [](const OidPair& p) -> uint64_t { return p.left; };
+  const std::vector<OidPair> input = TaggedPairs(50'000, 11);
+  std::vector<OidPair> expected(input.size());
+  std::vector<uint64_t> want;
+  simcache::NoTracer tracer;
+  RadixClusterPass(input.data(), expected.data(), input.size(), radix,
+                   /*shift=*/10, /*pass_bits=*/5, &want, tracer);
+  // Cut points with empty segments at the front, middle and back.
+  const std::vector<size_t> cuts = {0, 0, 7, 7, 20'000, 20'001, 49'999,
+                                    50'000, 50'000};
+  std::vector<std::span<const OidPair>> segments;
+  for (size_t k = 0; k + 1 < cuts.size(); ++k) {
+    segments.emplace_back(input.data() + cuts[k], cuts[k + 1] - cuts[k]);
+  }
+  for (size_t threads = 1; threads <= 4; ++threads) {
+    ThreadPool pool(threads);
+    std::vector<OidPair> out(input.size());
+    std::vector<uint64_t> got;
+    RadixClusterPassSegments<OidPair>(segments, out.data(), radix, 10, 5,
+                                      &got, &pool);
+    EXPECT_TRUE(SameBytes(out.data(), expected.data(), out.size()))
+        << "threads=" << threads;
+    EXPECT_EQ(got, want);
   }
 }
 

@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
+#include "storage/column.h"
 #include "hardware/memory_hierarchy.h"
 #include "join/hash_join.h"
 #include "join/hash_table.h"
@@ -203,6 +206,99 @@ TEST(ClusterKeyOidTest, CarriesOriginalOids) {
   // Every (key, oid) pair must be consistent with the input.
   for (const auto& t : out) {
     ASSERT_EQ(t.key, keys[t.oid]);
+  }
+}
+
+TEST(ClusterKeyOidTest, MatchesFillThenSerialClusterForEveryPassParity) {
+  // The join and the perfbench partition probe share this function; its
+  // fused fill must reproduce fill + serial multi-pass for every pass
+  // count (both copy-back parities) and every pool size.
+  auto radix = [](const cluster::KeyOid& t) -> uint64_t {
+    return KeyHash{}(t.key);
+  };
+  for (size_t n : {size_t{0}, size_t{1}, kParallelSliceRows - 1,
+                   kParallelSliceRows + 1, 2 * kParallelSliceRows + 5}) {
+    Rng rng(n + 17);
+    std::vector<value_t> keys(n);
+    for (auto& k : keys) k = static_cast<value_t>(rng.Below(1 << 20));
+    for (uint32_t passes = 1; passes <= 3; ++passes) {
+      cluster::ClusterSpec spec{
+          .total_bits = 8, .ignore_bits = 0, .passes = passes};
+      std::vector<cluster::KeyOid> expected(n), scratch(n);
+      for (size_t i = 0; i < n; ++i) {
+        expected[i] = {keys[i], static_cast<oid_t>(i)};
+      }
+      simcache::NoTracer tracer;
+      cluster::ClusterBorders want = cluster::RadixClusterMultiPass(
+          expected.data(), scratch.data(), n, radix, spec, tracer);
+      for (size_t threads = 1; threads <= 4; ++threads) {
+        ThreadPool pool(threads);
+        std::vector<cluster::KeyOid> out(n);
+        cluster::ClusterBorders got =
+            ClusterKeyOid(keys, out, spec.total_bits, passes, &pool);
+        EXPECT_EQ(got.offsets, want.offsets);
+        EXPECT_TRUE(n == 0 || std::memcmp(out.data(), expected.data(),
+                                          n * sizeof(cluster::KeyOid)) == 0)
+            << "n=" << n << " passes=" << passes << " threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST(JoinShardsTest, ConcatAndSegmentsKeepShardOrder) {
+  std::vector<OidPairs> shards(5);
+  shards[1] = {{1, 10}, {2, 20}, {3, 30}};
+  shards[3] = {{4, 40}};
+  shards[4] = {{5, 50}, {6, 60}};
+  JoinShards js(shards);
+  EXPECT_EQ(js.size(), 6u);
+  std::vector<OidPair> flat;
+  for (const auto& seg : js.Segments(2)) {
+    EXPECT_LE(seg.size(), 2u);
+    EXPECT_FALSE(seg.empty());
+    flat.insert(flat.end(), seg.begin(), seg.end());
+  }
+  for (size_t threads = 1; threads <= 4; ++threads) {
+    ThreadPool pool(threads);
+    JoinShards copy(shards);
+    JoinIndex index = copy.Concat(&pool);
+    EXPECT_EQ(copy.size(), 0u);
+    ASSERT_EQ(index.size(), flat.size());
+    for (size_t i = 0; i < flat.size(); ++i) {
+      EXPECT_EQ(index[i].left, flat[i].left);
+      EXPECT_EQ(index[i].right, flat[i].right);
+      EXPECT_EQ(index[i].left, static_cast<oid_t>(i + 1));
+    }
+  }
+  // A lone shard is moved, not copied.
+  JoinIndex one;
+  one.Append(7, 70);
+  const OidPair* storage = one.data();
+  JoinShards single{std::move(one)};
+  EXPECT_EQ(single.Concat(nullptr).data(), storage);
+}
+
+TEST(PartitionedHashJoinTest, ShardsConcatenateToTheSerialIndex) {
+  hardware::MemoryHierarchy hw = hardware::MemoryHierarchy::Pentium4();
+  Rng rng(3);
+  const size_t n = 3 * kParallelSliceRows;
+  std::vector<value_t> left(n), right(n);
+  for (auto& k : left) k = static_cast<value_t>(rng.Below(n));
+  for (auto& k : right) k = static_cast<value_t>(rng.Below(n));
+  PartitionedHashJoinOptions serial_opts;
+  serial_opts.radix_bits = 6;
+  JoinIndex serial = PartitionedHashJoin(left, right, hw, serial_opts);
+  for (size_t threads = 2; threads <= 4; ++threads) {
+    ThreadPool pool(threads);
+    PartitionedHashJoinOptions opts = serial_opts;
+    opts.pool = &pool;
+    JoinShards shards = PartitionedHashJoinShards(left, right, hw, opts);
+    EXPECT_EQ(shards.size(), serial.size());
+    JoinIndex index = shards.Concat(&pool);
+    ASSERT_EQ(index.size(), serial.size());
+    EXPECT_EQ(std::memcmp(index.data(), serial.data(),
+                          serial.size() * sizeof(OidPair)),
+              0);
   }
 }
 
