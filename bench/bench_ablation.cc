@@ -319,8 +319,8 @@ void BM_QueryMaterializing(benchmark::State& state) {
   size_t threads_used = 1;
   project::PhaseBreakdown phases;
   for (auto _ : state) {
-    project::QueryRun run =
-        radix::bench::BenchEngine(threads).Execute(w, spec);
+    project::QueryRun run = radix::bench::ExecuteOrExit(
+        radix::bench::BenchEngine(threads), w, spec);
     checksum = run.checksum;
     phases = run.phases;
     threads_used = run.threads_used;
@@ -351,8 +351,8 @@ void BM_QueryStreaming(benchmark::State& state) {
   for (auto _ : state) {
     gauge.ResetPeak();
     size_t before = gauge.current_bytes();
-    project::QueryRun run =
-        radix::bench::BenchEngine(threads).Execute(w, spec);
+    project::QueryRun run = radix::bench::ExecuteOrExit(
+        radix::bench::BenchEngine(threads), w, spec);
     peak = gauge.peak_bytes() - before;
     checksum = run.checksum;
     phases = run.phases;

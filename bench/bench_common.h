@@ -3,6 +3,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -58,6 +59,26 @@ inline radix::engine::Engine& BenchEngine(size_t threads = 1) {
     eng = std::make_unique<radix::engine::Engine>(std::move(cfg));
   }
   return *eng;
+}
+
+/// Execute a prepared query; a non-OK Status is printed and exits the
+/// harness non-zero, so no row reports a query that did not run.
+inline project::QueryRun ExecuteOrExit(const engine::PreparedQuery& query) {
+  project::QueryRun run;
+  const Status status = query.Execute(&run);
+  if (!status.ok()) {
+    (void)std::fprintf(stderr, "Execute failed: %s\n",
+                       status.ToString().c_str());
+    std::exit(1);
+  }
+  return run;
+}
+
+/// Prepare + ExecuteOrExit.
+inline project::QueryRun ExecuteOrExit(const engine::Engine& engine,
+                                       const workload::JoinWorkload& w,
+                                       const engine::QuerySpec& spec) {
+  return ExecuteOrExit(engine.Prepare(w, spec));
 }
 
 /// A Radix-Decluster input with the *paper's* distribution (Fig. 4): the

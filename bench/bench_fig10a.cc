@@ -43,7 +43,8 @@ void RunStrategy(benchmark::State& state, JoinStrategy strategy) {
   uint64_t checksum = 0;
   project::PhaseBreakdown phases;
   for (auto _ : state) {
-    project::QueryRun run = radix::bench::BenchEngine().Execute(w, spec);
+    project::QueryRun run =
+        radix::bench::ExecuteOrExit(radix::bench::BenchEngine(), w, spec);
     checksum = run.checksum;
     phases = run.phases;
     benchmark::DoNotOptimize(checksum);
@@ -107,7 +108,8 @@ void RunStrategyVarchar(benchmark::State& state, JoinStrategy strategy) {
   spec.pi_varchar_right = 2;
   uint64_t checksum = 0;
   for (auto _ : state) {
-    project::QueryRun run = radix::bench::BenchEngine().Execute(w, spec);
+    project::QueryRun run =
+        radix::bench::ExecuteOrExit(radix::bench::BenchEngine(), w, spec);
     checksum = run.checksum;
     benchmark::DoNotOptimize(checksum);
   }

@@ -53,7 +53,8 @@ void RunStrategy(benchmark::State& state, JoinStrategy strategy) {
   spec.pi_right = kPi;
   size_t result_size = 0;
   for (auto _ : state) {
-    project::QueryRun run = radix::bench::BenchEngine().Execute(w, spec);
+    project::QueryRun run =
+        radix::bench::ExecuteOrExit(radix::bench::BenchEngine(), w, spec);
     result_size = run.result_cardinality;
     benchmark::DoNotOptimize(result_size);
   }
@@ -109,7 +110,8 @@ void BM_DsmPostDeclusterVarchar(benchmark::State& state) {
   spec.pi_varchar_right = 2;
   size_t result_size = 0;
   for (auto _ : state) {
-    project::QueryRun run = radix::bench::BenchEngine().Execute(w, spec);
+    project::QueryRun run =
+        radix::bench::ExecuteOrExit(radix::bench::BenchEngine(), w, spec);
     result_size = run.result_cardinality;
     benchmark::DoNotOptimize(result_size);
   }

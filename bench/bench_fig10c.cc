@@ -43,7 +43,8 @@ void BM_DsmPostPlanned(benchmark::State& state) {
   spec.pi_right = kPi;
   std::string code;
   for (auto _ : state) {
-    project::QueryRun run = radix::bench::BenchEngine().Execute(w, spec);
+    project::QueryRun run =
+        radix::bench::ExecuteOrExit(radix::bench::BenchEngine(), w, spec);
     code = run.detail;
     benchmark::DoNotOptimize(run.checksum);
   }
@@ -64,7 +65,8 @@ void RunForced(benchmark::State& state, SideStrategy left,
   spec.left = left;
   spec.right = right;
   for (auto _ : state) {
-    project::QueryRun run = radix::bench::BenchEngine().Execute(w, spec);
+    project::QueryRun run =
+        radix::bench::ExecuteOrExit(radix::bench::BenchEngine(), w, spec);
     benchmark::DoNotOptimize(run.checksum);
   }
   state.counters["N"] = static_cast<double>(n);
@@ -109,7 +111,7 @@ void BM_DsmPostPlannedVarchar(benchmark::State& state) {
         radix::bench::BenchEngine().Prepare(w, spec);
     modeled_varchar_ms =
         prepared.Explain().varchar_decluster_cost.seconds * 1e3;
-    project::QueryRun run = prepared.Execute();
+    project::QueryRun run = radix::bench::ExecuteOrExit(prepared);
     code = run.detail;
     benchmark::DoNotOptimize(run.checksum);
   }

@@ -66,8 +66,7 @@ void BM_OpsPipeline(benchmark::State& state) {
 
   ops::PhysicalPlan physical;
   Status opt = ops::Optimize(catalog, plan, radix::bench::BenchHw(),
-                             costmodel::CpuCosts::Default(), threads,
-                             &physical);
+                             costmodel::CpuCosts::Default(), &physical);
   RADIX_CHECK(opt.ok());
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);

@@ -100,7 +100,13 @@ int main(int argc, char** argv) {
   // 4. Execute on the session resources: Partitioned Hash-Join on the key
   //    columns, then the planned post-projection (e.g. partial cluster on
   //    the left, cluster + positional join + Radix-Decluster on the right).
-  project::QueryRun run = prepared.Execute();
+  project::QueryRun run;
+  const Status status = prepared.Execute(&run);
+  if (!status.ok()) {
+    (void)std::fprintf(stderr, "Execute failed: %s\n",
+                       status.ToString().c_str());
+    return 1;
+  }
   std::printf("Result: %zu tuples, plan %s, %zu thread(s)\n",
               run.result_cardinality, run.detail.c_str(), run.threads_used);
   std::printf("Phases: join %.2f ms, cluster %.2f ms, positional joins "
@@ -111,23 +117,23 @@ int main(int argc, char** argv) {
 
   // 5. Verify against ground truth: a scalar nested-loop reference that
   //    shares no code with the radix kernels must produce the same
-  //    order-independent checksum — and so must the (deprecated) legacy
-  //    entry point on the same hardware profile.
+  //    order-independent checksum — and so must project::RunQuery, the
+  //    strategy runner underneath, called directly on the same profile.
   size_t errors = 0;
   uint64_t expected = ReferenceChecksum(w, 2, 2, 1);
   if (run.checksum != expected) ++errors;
   std::printf("Scalar reference check (incl. string bytes): %s\n",
               run.checksum == expected ? "checksum matches" : "MISMATCH");
-  project::QueryOptions legacy;
-  legacy.pi_left = 2;
-  legacy.pi_right = 2;
-  legacy.pi_varchar_left = 1;
-  legacy.pi_varchar_right = 1;
+  project::QueryOptions direct;
+  direct.pi_left = 2;
+  direct.pi_right = 2;
+  direct.pi_varchar_left = 1;
+  direct.pi_varchar_right = 1;
   project::QueryRun ref = project::RunQuery(
-      w, project::JoinStrategy::kDsmPostDecluster, legacy, eng.hierarchy());
+      w, project::JoinStrategy::kDsmPostDecluster, direct, eng.hierarchy());
   if (run.checksum != ref.checksum) ++errors;
   if (run.result_cardinality != ref.result_cardinality) ++errors;
-  std::printf("Cross-check vs legacy RunQuery: %s\n",
+  std::printf("Cross-check vs direct RunQuery: %s\n",
               run.checksum == ref.checksum ? "checksums match" : "MISMATCH");
   return errors == 0 ? 0 : 1;
 }

@@ -53,7 +53,14 @@ int main(int argc, char** argv) {
         JoinStrategy::kNsmPostDecluster, JoinStrategy::kNsmPostJive}) {
     qspec.strategy = s;
     engine::PreparedQuery prepared = eng.Prepare(w, qspec);
-    project::QueryRun run = prepared.Execute();
+    project::QueryRun run;
+    const Status status = prepared.Execute(&run);
+    if (!status.ok()) {
+      (void)std::fprintf(stderr, "%s: Execute failed: %s\n",
+                         project::JoinStrategyName(s),
+                         status.ToString().c_str());
+      return 1;
+    }
     double project_ms = (run.phases.cluster_seconds +
                          run.phases.projection_seconds +
                          run.phases.decluster_seconds) *

@@ -186,7 +186,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
   radix::ops::PhysicalPlan physical;
   radix::Status opt =
-      radix::ops::Optimize(f.catalog, plan, f.hw, f.cpu, 1, &physical);
+      radix::ops::Optimize(f.catalog, plan, f.hw, f.cpu, &physical);
 
   if (!opt.ok()) {
     FUZZ_CHECK(!ref.ok(),

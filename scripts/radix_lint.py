@@ -33,6 +33,12 @@ Rules (each prints `file:line: [rule] message` and fails the run):
                      documented in src/CMakeLists.txt). Catches include
                      cycles and upward includes at review time instead of
                      link time.
+  pool-construction  constructing a ThreadPool (`ThreadPool x(...)`,
+                     `make_unique<ThreadPool>`, `new ThreadPool`) outside
+                     src/common/ and src/engine/. Kernels run on the pool
+                     their caller passes in (nullptr = serial); the
+                     engine owns the one session pool. Keeps per-call and
+                     hidden process-wide pools from coming back.
   fuzz-unregistered  every fuzz/*_fuzz.cc must appear in the
                      RADIX_FUZZ_HARNESSES list of fuzz/CMakeLists.txt (so
                      it builds in both libFuzzer and corpus-replay mode
@@ -102,6 +108,14 @@ RAW_PRIMITIVE = re.compile(
 # (a pure query, used by the pool itself for sizing).
 RAW_THREAD = re.compile(r"std::thread\b(?!::hardware_concurrency)")
 RAW_NEW_ARRAY = re.compile(r"\bnew\s+[A-Za-z_][\w:<>, ]*\[")
+POOL_CONSTRUCTION = re.compile(
+    r"\bThreadPool\s+\w+\s*[({]|"
+    r"\bmake_(unique|shared)\s*<\s*(radix::)?ThreadPool\s*>|"
+    r"\bnew\s+(radix::)?ThreadPool\b"
+)
+# Layers that may construct a ThreadPool: the pool itself and the engine
+# that owns the session pool.
+POOL_OWNERS = {"common", "engine"}
 NOTIFY = re.compile(r"\.Notify(One|All)\s*\(")
 MUTEX_LOCK_DECL = re.compile(r"\bMutexLock\s+\w+\s*[({]")
 SNPRINTF_STMT = re.compile(r"^\s*(std::)?snprintf\s*\(")
@@ -201,6 +215,12 @@ def lint_file(rel, text):
             if RAW_THREAD.search(line):
                 yield (lineno, "raw-primitive",
                        "raw std::thread outside common/; use the ThreadPool")
+
+        if layer not in POOL_OWNERS and POOL_CONSTRUCTION.search(line):
+            yield (lineno, "pool-construction",
+                   "ThreadPool constructed outside common/ and engine/; "
+                   "take the caller's ThreadPool* instead (nullptr = "
+                   "serial kernels)")
 
         if RAW_NEW_ARRAY.search(line):
             yield (lineno, "raw-new-array",
@@ -339,6 +359,21 @@ SELF_TEST_CASES = [
      None),
     ("engine/ok.cc",
      "void F() {\n  { MutexLock lock(mu_); cv_.NotifyOne(); }\n}\n", None),
+    # Pools: only common/ and the engine construct one; everyone else
+    # takes the caller's ThreadPool*.
+    ("project/bad.cc", "  ThreadPool pool(num_threads);\n",
+     "pool-construction"),
+    ("ops/bad.cc", "  auto p = std::make_unique<ThreadPool>(n);\n",
+     "pool-construction"),
+    ("join/bad.cc", "  pool_ = new radix::ThreadPool(4);\n",
+     "pool-construction"),
+    ("engine/ok.cc", "  pool_ = std::make_unique<ThreadPool>(threads);\n",
+     None),
+    ("common/ok.cc", "  ThreadPool pool(1);\n", None),
+    ("project/ok.cc", "void F(ThreadPool* pool);\n", None),
+    ("project/ok.cc", "  ThreadPool* pool = KernelPool(options.pool);\n",
+     None),
+    ("project/ok.cc", "  ThreadPool& pool = *options.pool;\n", None),
     # Comments and strings must not fire.
     ("engine/ok.cc", "// std::mutex is banned here\n", None),
     ("engine/ok.cc", 's += "std::mutex";\n', None),

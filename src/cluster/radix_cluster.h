@@ -254,7 +254,7 @@ std::vector<uint64_t> SegmentedPass(size_t items, radix_bits_t pass_bits,
                                     ThreadPool* pool) {
   const size_t buckets = size_t{1} << pass_bits;
   auto for_each_segment = [&](const std::function<void(size_t)>& body) {
-    if (pool != nullptr && pool->num_threads() > 1 && items > 1) {
+    if (KernelPool(pool) != nullptr && items > 1) {
       pool->ParallelFor(items, body);
     } else {
       for (size_t s = 0; s < items; ++s) body(s);
@@ -412,7 +412,7 @@ T* RadixRefineClusters(T* data, T* scratch, ClusterBorders* borders,
                                     prev.size(c), radix_of, tail, tracer,
                                     &ignored);
   };
-  if (pool != nullptr && pool->num_threads() > 1) {
+  if (KernelPool(pool) != nullptr) {
     pool->ParallelFor(nclusters, refine);
   } else {
     for (size_t c = 0; c < nclusters; ++c) refine(c);

@@ -166,6 +166,13 @@ class ThreadPool {
   bool stop_ RADIX_GUARDED_BY(mu_) = false;
 };
 
+/// The pool a kernel runs on: `pool` when it has more than one thread,
+/// else nullptr. A one-thread pool (or none) runs the exact serial
+/// kernels, never their parallel variants on one thread.
+inline ThreadPool* KernelPool(ThreadPool* pool) {
+  return pool != nullptr && pool->num_threads() > 1 ? pool : nullptr;
+}
+
 /// Rows per slice below which a row-parallel loop (pack, unpack, fill,
 /// copy) stays on the calling thread: a slice this small costs
 /// less than handing it to a worker. Row counts, not a knob, are what keep

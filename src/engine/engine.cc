@@ -7,7 +7,6 @@
 
 #include "cluster/partition_plan.h"
 #include "cluster/radix_cluster.h"
-#include "common/bits.h"
 #include "common/thread_pool.h"
 #include "decluster/window.h"
 #include "engine/plan_cache.h"
@@ -113,11 +112,6 @@ size_t Engine::num_threads() const {
   return pool_ != nullptr ? pool_->num_threads() : 1;
 }
 
-Engine& Engine::Default() {
-  static Engine instance{EngineConfig{}};
-  return instance;
-}
-
 PreparedQuery Engine::Prepare(const workload::JoinWorkload& workload,
                               const QuerySpec& spec) const {
   // A repeated plan-affecting shape (see PlanCacheKey) skips planning,
@@ -134,8 +128,8 @@ PreparedQuery Engine::Prepare(const workload::JoinWorkload& workload,
   const size_t n_right = workload.dsm_right.cardinality();
   // Cardinality estimate for the cost model; the generator knows the true
   // value, a real system would use join selectivity statistics. The plan
-  // *choice* never depends on it (PlanDsmPost plans from the inputs), so
-  // execution is identical to the legacy post-join planning.
+  // *choice* never depends on it (PlanDsmPost plans from the base
+  // cardinalities), so execution is identical to a direct RunQuery.
   const size_t n_index = workload.expected_result_size;
   const double pi_l = static_cast<double>(std::max<size_t>(1, spec.pi_left));
   const double pi_r = static_cast<double>(std::max<size_t>(1, spec.pi_right));
@@ -176,115 +170,23 @@ PreparedQuery Engine::Prepare(const workload::JoinWorkload& workload,
 
   switch (spec.strategy) {
     case JoinStrategy::kDsmPostDecluster: {
-      ex.join_cost = costmodel::PartitionedHashJoinCost(
-          hw, cpu, n_left, n_right, pair_width, join_bits);
-
       // Resolve the per-side plan exactly as the executor will.
-      if (spec.plan_sides) {
-        project::Plan plan =
-            project::PlanDsmPost(n_left, n_right, n_index, spec.pi_left,
-                                 spec.pi_right, hw, ex.threads, var_l, var_r,
-                                 avg_var_l, avg_var_r);
-        ex.side_options = plan.options;
-        ex.easy = plan.easy;
-        ex.plan_code = plan.code;
-      } else {
-        ex.side_options.left = spec.left;
-        ex.side_options.right = spec.right;
-        // §4.1: only the first projection table may be reordered; the
-        // executor coerces a reordering right side to d, so the plan says
-        // what will actually run.
-        if (ex.side_options.right == SideStrategy::kSorted ||
-            ex.side_options.right == SideStrategy::kClustered) {
-          ex.side_options.right = SideStrategy::kDecluster;
-        }
-        std::string code = project::SideStrategyCode(ex.side_options.left);
-        code += "/";
-        code += project::SideStrategyCode(ex.side_options.right);
-        ex.plan_code = code;
-        ex.easy = project::ColumnFitsCache(n_left, hw) &&
-                  project::ColumnFitsCache(n_right, hw);
-      }
+      const project::PinnedSides pinned{spec.left, spec.right};
+      project::Plan plan = project::PlanDsmPost(
+          n_left, n_right, spec.pi_left, hw, var_l, var_r, avg_var_l,
+          avg_var_r, spec.plan_sides ? nullptr : &pinned);
+      ex.side_options = plan.options;
+      ex.easy = plan.easy;
+      ex.plan_code = std::move(plan.code);
       ex.side_options.left_bits = spec.left_bits;
       ex.side_options.right_bits = spec.right_bits;
       ex.side_options.window_elems = spec.window_elems;
-      ex.side_options.num_threads = ex.threads;
 
-      // Left side: index reorder (cluster or sort of the oid pairs), then
-      // pi_left sequential-ish positional gathers; varchar columns gather
-      // under the same (re)ordering at their offsets+heap width.
-      switch (ex.side_options.left) {
-        case SideStrategy::kUnsorted:
-          Accumulate(&ex.projection_cost,
-                     costmodel::ClusteredPositionalJoinCost(
-                         hw, cpu, n_index, n_left, sizeof(value_t),
-                         /*bits=*/0, /*sorted=*/false),
-                     pi_l);
-          Accumulate(&ex.projection_cost,
-                     costmodel::ClusteredPositionalJoinCost(
-                         hw, cpu, n_index, n_left, var_width_l,
-                         /*bits=*/0, /*sorted=*/false),
-                     static_cast<double>(var_l));
-          break;
-        case SideStrategy::kSorted: {
-          radix_bits_t bits = SignificantBits(std::max<size_t>(1, n_left));
-          Accumulate(&ex.cluster_cost,
-                     costmodel::RadixClusterCost(
-                         hw, cpu, n_index, sizeof(cluster::OidPair), bits,
-                         cluster::PassesFor(bits, hw)),
-                     1.0);
-          Accumulate(&ex.projection_cost,
-                     costmodel::ClusteredPositionalJoinCost(
-                         hw, cpu, n_index, n_left, sizeof(value_t),
-                         /*bits=*/0, /*sorted=*/true),
-                     pi_l);
-          Accumulate(&ex.projection_cost,
-                     costmodel::ClusteredPositionalJoinCost(
-                         hw, cpu, n_index, n_left, var_width_l,
-                         /*bits=*/0, /*sorted=*/true),
-                     static_cast<double>(var_l));
-          break;
-        }
-        case SideStrategy::kClustered:
-        case SideStrategy::kDecluster: {
-          cluster::ClusterSpec left_spec = project::detail::SpecFor(
-              SideStrategy::kClustered, n_index, n_left, hw, spec.left_bits);
-          Accumulate(&ex.cluster_cost,
-                     costmodel::RadixClusterCost(
-                         hw, cpu, n_index, sizeof(cluster::OidPair),
-                         left_spec.total_bits, left_spec.passes),
-                     1.0);
-          Accumulate(&ex.projection_cost,
-                     costmodel::ClusteredPositionalJoinCost(
-                         hw, cpu, n_index, n_left, sizeof(value_t),
-                         left_spec.total_bits, /*sorted=*/false),
-                     pi_l);
-          Accumulate(&ex.projection_cost,
-                     costmodel::ClusteredPositionalJoinCost(
-                         hw, cpu, n_index, n_left, var_width_l,
-                         left_spec.total_bits, /*sorted=*/false),
-                     static_cast<double>(var_l));
-          break;
-        }
-      }
-
-      // Right side: u = random positional gathers in result order; d = the
-      // paper's cluster + positional-join + Radix-Decluster machinery.
       // Per-query chunking overrides beat the engine's session policy.
       const ChunkingPolicy policy =
           spec.chunking == ChunkingPolicy::kEngineDefault ? config_.chunking
                                                           : spec.chunking;
       if (ex.side_options.right == SideStrategy::kUnsorted) {
-        Accumulate(&ex.projection_cost,
-                   costmodel::ClusteredPositionalJoinCost(
-                       hw, cpu, n_index, n_right, sizeof(value_t),
-                       /*bits=*/0, /*sorted=*/false),
-                   pi_r);
-        Accumulate(&ex.projection_cost,
-                   costmodel::ClusteredPositionalJoinCost(
-                       hw, cpu, n_index, n_right, var_width_r,
-                       /*bits=*/0, /*sorted=*/false),
-                   static_cast<double>(var_r));
         // No value intermediates; an explicit kStream policy still streams
         // the gathers (chunked, zero-copy), which changes nothing modeled.
         // Varchar queries are the exception: the executor falls back to
@@ -303,36 +205,13 @@ PreparedQuery Engine::Prepare(const workload::JoinWorkload& workload,
           ex.mode_reason = "u right side materializes no value intermediates";
         }
       } else {
-        cluster::ClusterSpec right_spec = project::detail::SpecFor(
-            SideStrategy::kClustered, n_index, n_right, hw, spec.right_bits);
-        ex.decluster_bits = right_spec.total_bits;
-        ex.decluster_passes = right_spec.passes;
-        ex.window_elems =
-            spec.window_elems != 0
-                ? spec.window_elems
-                : decluster::WindowPolicy::ChooseWindowElems(
-                      hw, sizeof(value_t),
-                      size_t{1} << right_spec.total_bits,
-                      std::max<size_t>(1, n_index));
-        // Cluster (id, result-position) pairs once; gather + decluster
-        // repeat per projected column.
-        Accumulate(&ex.cluster_cost,
-                   costmodel::RadixClusterCost(hw, cpu, n_index,
-                                               2 * sizeof(oid_t),
-                                               right_spec.total_bits,
-                                               right_spec.passes),
-                   1.0);
-        Accumulate(&ex.projection_cost,
-                   costmodel::ClusteredPositionalJoinCost(
-                       hw, cpu, n_index, n_right, sizeof(value_t),
-                       right_spec.total_bits, /*sorted=*/false),
-                   pi_r);
-        Accumulate(&ex.projection_cost,
-                   costmodel::ClusteredPositionalJoinCost(
-                       hw, cpu, n_index, n_right, var_width_r,
-                       right_spec.total_bits, /*sorted=*/false),
-                   static_cast<double>(var_r));
-        PlanExecutionMode(spec, policy, n_index, right_spec.total_bits, &ex);
+        const project::DeclusterPlan right = project::PlanDeclusterSide(
+            n_index, n_right, sizeof(value_t), spec.right_bits,
+            spec.window_elems, hw);
+        ex.decluster_bits = right.spec.total_bits;
+        ex.decluster_passes = right.spec.passes;
+        ex.window_elems = right.window_elems;
+        PlanExecutionMode(spec, policy, n_index, right.spec.total_bits, &ex);
         if (ex.varchar_cols > 0 && ex.streaming) {
           // Mirror the executor: varchar projections have no streaming
           // path yet, so the plan must not claim one.
@@ -343,38 +222,28 @@ PreparedQuery Engine::Prepare(const workload::JoinWorkload& workload,
               "varchar columns force materializing (no streaming path for "
               "variable-size chunks)";
         }
-        const CostEstimate decluster_once =
-            ex.streaming
-                ? costmodel::StreamingRadixDeclusterCost(
-                      hw, cpu, n_index, sizeof(value_t),
-                      right_spec.total_bits, ex.window_elems, ex.chunk_rows)
-                : costmodel::RadixDeclusterCost(hw, cpu, n_index,
-                                                sizeof(value_t),
-                                                right_spec.total_bits,
-                                                ex.window_elems);
-        Accumulate(&ex.decluster_cost, decluster_once, pi_r);
-        if (var_r > 0) {
-          // The Fig. 12 three-phase paged-decluster term, per varchar
-          // column; its window holds avg_len-byte values (the executor
-          // sizes it the same way).
-          size_t vwindow =
-              spec.window_elems != 0
-                  ? spec.window_elems
-                  : decluster::WindowPolicy::ChooseWindowElems(
-                        hw, std::max(sizeof(uint32_t), avg_var_r),
-                        size_t{1} << right_spec.total_bits,
-                        std::max<size_t>(1, n_index));
-          Accumulate(&ex.varchar_decluster_cost,
-                     costmodel::VarcharRadixDeclusterCost(
-                         hw, cpu, n_index, avg_var_r, right_spec.total_bits,
-                         vwindow),
-                     static_cast<double>(var_r));
-          // The clustered varchar intermediate (offsets + heap) counts
-          // toward the materialized footprint.
-          ex.modeled_intermediate_bytes +=
-              n_index * (sizeof(uint64_t) + avg_var_r) * var_r;
-        }
+        // The clustered varchar intermediate (offsets + heap) counts
+        // toward the materialized footprint.
+        ex.modeled_intermediate_bytes +=
+            n_index * (sizeof(uint64_t) + avg_var_r) * var_r;
       }
+
+      project::DsmPostCostInput in;
+      in.left_rows = n_left;
+      in.right_rows = n_right;
+      in.index_rows = n_index;
+      in.pi_left = spec.pi_left;
+      in.pi_right = spec.pi_right;
+      in.pi_varchar_left = var_l;
+      in.pi_varchar_right = var_r;
+      in.avg_varchar_left_len = avg_var_l;
+      in.avg_varchar_right_len = avg_var_r;
+      in.sides = ex.side_options;
+      in.chunk_rows = ex.chunk_rows;
+      project::DsmPostCost(in, hw, cpu,
+                           {&ex.join_cost, &ex.cluster_cost,
+                            &ex.projection_cost, &ex.decluster_cost,
+                            &ex.varchar_decluster_cost});
       break;
     }
 
@@ -501,8 +370,8 @@ Status Engine::Prepare(const ops::Catalog& catalog,
   }
 
   ops::PhysicalPlan physical;
-  Status opt = ops::Optimize(catalog, plan, hw_, config_.cpu_costs,
-                             num_threads(), &physical);
+  Status opt =
+      ops::Optimize(catalog, plan, hw_, config_.cpu_costs, &physical);
   if (!opt.ok()) return opt;
 
   Explanation ex;
@@ -617,11 +486,6 @@ void Engine::PlanExecutionMode(const QuerySpec& spec, ChunkingPolicy policy,
       std::min(materialized_bytes, chunk * per_row_bytes);
 }
 
-project::QueryRun Engine::Execute(const workload::JoinWorkload& workload,
-                                  const QuerySpec& spec) const {
-  return Prepare(workload, spec).Execute();
-}
-
 EngineStats Engine::Stats() const {
   EngineStats s;
   s.queries_executed = queries_executed_.load(std::memory_order_relaxed);
@@ -672,8 +536,8 @@ Status Engine::ExecutePrepared(const PreparedQuery& query,
   // (usually the kAuto sentinels): the kernels re-derive them from the
   // *actual* join cardinality with the exact rules Explain() applied to
   // the workload's estimate — pinning Explain's values instead would
-  // diverge from the legacy executors whenever estimate != actual,
-  // breaking byte-identity for no planning benefit.
+  // diverge from a direct RunQuery whenever estimate != actual, breaking
+  // byte-identity for no planning benefit.
   options.pi_varchar_left = spec.pi_varchar_left;
   options.pi_varchar_right = spec.pi_varchar_right;
   options.plan_sides = false;
@@ -682,7 +546,6 @@ Status Engine::ExecutePrepared(const PreparedQuery& query,
   options.left_bits = ex.side_options.left_bits;
   options.right_bits = ex.side_options.right_bits;
   options.window_elems = ex.side_options.window_elems;
-  options.num_threads = num_threads();
   options.pool = pool_.get();
   options.chunk_rows = ex.chunk_rows;
   options.gauge = config_.gauge;
@@ -732,17 +595,6 @@ Status PreparedQuery::Execute(project::QueryRun* out) const {
 
 Status PreparedPlan::Execute(ops::PlanRun* out) const {
   return engine_->ExecutePreparedPlan(*this, out);
-}
-
-project::QueryRun PreparedQuery::Execute() const {
-  project::QueryRun run;
-  Status status = engine_->ExecutePrepared(*this, &run);
-  if (!status.ok()) {
-    (void)std::fprintf(stderr, "Engine::Execute failed: %s\n",
-                       status.ToString().c_str());
-  }
-  RADIX_CHECK(status.ok());
-  return run;
 }
 
 std::string Explanation::ToString() const {

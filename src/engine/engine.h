@@ -51,7 +51,7 @@ enum class ChunkingPolicy : uint8_t {
   /// intermediate would exceed EngineConfig::streaming_budget_bytes,
   /// with the chunk size chosen from StreamingRadixDeclusterCost.
   kAuto,
-  /// Always materialize full intermediates (the legacy RunQuery path).
+  /// Always materialize full intermediates (project::RunQuery).
   kMaterialize,
   /// Always stream through the pipeline/ subsystem.
   kStream,
@@ -249,25 +249,24 @@ class PreparedQuery {
   Explanation Explain() && { return std::move(explanation_); }
   const QuerySpec& spec() const { return spec_; }
 
-  /// Run the query. Byte-identical results to the legacy free functions
-  /// for the same spec and hardware profile; spawns no threads (the
-  /// engine's pool, created at startup, is reused). The explained sides,
-  /// execution mode and chunk size run verbatim; radix bits and window
-  /// re-derive at execution from the actual join cardinality (Explain()
-  /// models them from the workload's estimate) under the same rules.
+  /// Run the query: project::RunQuery (or RunQueryStreaming) with the
+  /// explained plan on the engine's pool, so it spawns no threads (the
+  /// pool is created at startup). The explained sides, execution mode and
+  /// chunk size run verbatim; radix bits and window re-derive at
+  /// execution from the actual join cardinality (Explain() models them
+  /// from the workload's estimate) under the same rules.
   ///
   /// Thread-safe: any number of client threads may Execute() prepared
   /// queries of the same engine concurrently. Each call passes the
   /// engine's admission gate (FIFO memory-budget queue — it may block
   /// until earlier queries release their reservations), then runs with
   /// its grains scheduled on the shared session pool at the plan's
-  /// priority. Aborts the process if admission rejects the query; use the
-  /// Status overload when a rejection must be handled.
-  project::QueryRun Execute() const;
-
-  /// Status-returning Execute: *out receives the result on OK. Returns
-  /// kResourceExhausted — quickly, without queueing — when the engine has
-  /// an admission budget and this query's reservation alone exceeds it.
+  /// priority.
+  ///
+  /// *out receives the result on OK. Returns kInvalidArgument when the
+  /// spec's projection counts exceed the workload, and kResourceExhausted
+  /// — quickly, without queueing — when the engine has an admission
+  /// budget and this query's reservation alone exceeds it.
   /// [[nodiscard]]: ignoring a rejection here would read *out as if the
   /// query had run.
   [[nodiscard]] Status Execute(project::QueryRun* out) const;
@@ -354,10 +353,6 @@ class Engine {
   PreparedQuery Prepare(const workload::JoinWorkload& workload,
                         const QuerySpec& spec) const;
 
-  /// Prepare() + Execute() in one call.
-  project::QueryRun Execute(const workload::JoinWorkload& workload,
-                            const QuerySpec& spec) const;
-
   /// Plan a logical plan tree: validate it, estimate per-node
   /// cardinalities, pick the Fig. 10 per-side strategy for every join edge
   /// via the cost model, and fix the modeled costs — all before anything
@@ -379,15 +374,11 @@ class Engine {
   /// snapshot.
   EngineStats Stats() const;
 
-  /// The process-wide default engine backing one-shot callers: serial,
-  /// detected hardware, no calibration. Constructed on first use.
-  static Engine& Default();
-
  private:
   friend class PreparedQuery;
   friend class PreparedPlan;
 
-  /// The admission-gated execution path behind both Execute overloads.
+  /// The admission-gated execution path behind PreparedQuery::Execute().
   [[nodiscard]] Status ExecutePrepared(const PreparedQuery& query,
                                        project::QueryRun* out) const;
   /// The admission-gated execution path behind PreparedPlan::Execute().

@@ -4,12 +4,6 @@
 
 namespace radix::join {
 
-std::vector<oid_t> JoinIndex::LeftOids() const {
-  std::vector<oid_t> out(pairs_.size());
-  for (size_t i = 0; i < pairs_.size(); ++i) out[i] = pairs_[i].left;
-  return out;
-}
-
 std::vector<oid_t> JoinIndex::RightOids() const {
   std::vector<oid_t> out(pairs_.size());
   for (size_t i = 0; i < pairs_.size(); ++i) out[i] = pairs_[i].right;

@@ -42,9 +42,8 @@ class JoinIndex {
   void Reserve(size_t n) { pairs_.reserve(n); }
   void Append(oid_t left, oid_t right) { pairs_.push_back({left, right}); }
 
-  /// Copy out one side as a plain oid column. The projectors read the
-  /// sides straight off the index instead.
-  std::vector<oid_t> LeftOids() const;
+  /// Copy out the right side as a plain oid column. The projectors read
+  /// the sides straight off the index instead.
   std::vector<oid_t> RightOids() const;
 
  private:

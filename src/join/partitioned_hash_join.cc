@@ -74,10 +74,7 @@ JoinShards PartitionedHashJoinShards(std::span<const value_t> left_keys,
       options.max_pass_bits != 0 ? options.max_pass_bits : cluster::MaxPassBits(hw);
   uint32_t passes = (bits + per_pass - 1) / per_pass;
 
-  ThreadPool* pool =
-      options.pool != nullptr && options.pool->num_threads() > 1
-          ? options.pool
-          : nullptr;
+  ThreadPool* pool = KernelPool(options.pool);
 
   storage::Column<KeyOid> left(left_keys.size());
   storage::Column<KeyOid> right(right_keys.size());

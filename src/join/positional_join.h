@@ -178,8 +178,7 @@ void PositionalJoinColumns(std::span<const oid_t> ids,
                            ThreadPool* pool) {
   RADIX_CHECK(columns.size() == outs.size());
   size_t n = ids.size();
-  if (pool == nullptr || pool->num_threads() <= 1 || n == 0 ||
-      columns.empty()) {
+  if (KernelPool(pool) == nullptr || n == 0 || columns.empty()) {
     for (size_t a = 0; a < columns.size(); ++a) {
       PositionalJoin<T>(ids, columns[a], outs[a]);
     }
@@ -205,8 +204,7 @@ void PositionalJoinPairsColumns(std::span<const cluster::OidPair> index,
                                 ThreadPool* pool) {
   RADIX_CHECK(columns.size() == outs.size());
   size_t n = index.size();
-  if (pool == nullptr || pool->num_threads() <= 1 || n == 0 ||
-      columns.empty()) {
+  if (KernelPool(pool) == nullptr || n == 0 || columns.empty()) {
     for (size_t a = 0; a < columns.size(); ++a) {
       PositionalJoinPairs<T, kLeft>(index, columns[a], outs[a]);
     }

@@ -199,9 +199,7 @@ void RadixJoinOp::Materialize() {
   for (size_t i = 0; i < lrows; ++i) lkeys[i] = lkey_base[lcols[lkey_col][i]];
   for (size_t i = 0; i < rrows; ++i) rkeys[i] = rkey_base[rcols[rkey_col][i]];
 
-  ThreadPool* pool =
-      (ctx_->pool != nullptr && ctx_->pool->num_threads() > 1) ? ctx_->pool
-                                                               : nullptr;
+  ThreadPool* pool = KernelPool(ctx_->pool);
   join::PartitionedHashJoinOptions jopts;
   jopts.pool = pool;
   join::JoinShards shards =
@@ -497,9 +495,7 @@ void GroupAggregateOp::Materialize() {
     return HashInt32(static_cast<uint32_t>(p.key));
   };
   std::vector<cluster::KeyOid> scratch(n);
-  ThreadPool* pool =
-      (ctx_->pool != nullptr && ctx_->pool->num_threads() > 1) ? ctx_->pool
-                                                               : nullptr;
+  ThreadPool* pool = KernelPool(ctx_->pool);
   cluster::ClusterBorders borders;
   if (pool != nullptr) {
     borders = cluster::RadixClusterMultiPassParallel(

@@ -4,25 +4,12 @@
 #include <cmath>
 #include <string>
 
-#include "cluster/partition_plan.h"
 #include "cluster/radix_cluster.h"
-#include "common/bits.h"
-#include "decluster/window.h"
-#include "project/dsm_post.h"
 #include "project/planner.h"
-#include "project/strategy.h"
 
 namespace radix::ops {
 
 namespace {
-
-using costmodel::CostEstimate;
-using project::SideStrategy;
-
-void Accumulate(CostEstimate* into, const CostEstimate& add, double factor) {
-  into->misses += add.misses * factor;
-  into->seconds += add.seconds * factor;
-}
 
 /// Predicate selectivity by strided sampling of the base column: cheap,
 /// deterministic, and honest about what a real system would have (a
@@ -75,109 +62,8 @@ struct EstimatorState {
   const Catalog* catalog;
   const hardware::MemoryHierarchy* hw;
   const costmodel::CpuCosts* cpu;
-  size_t num_threads;
   PhysicalPlan* out;
 };
-
-/// The per-edge cost accounting of the two-sided engine Explain, applied
-/// with the edge's estimated cardinalities. Left/right "columns" here are
-/// the subtree oid columns the join gathers, all sizeof(oid_t) wide.
-void CostEdge(EstimatorState* st, EdgePlan* edge, size_t pi_left,
-              size_t pi_right) {
-  const hardware::MemoryHierarchy& hw = *st->hw;
-  const costmodel::CpuCosts& cpu = *st->cpu;
-  PhysicalPlan* out = st->out;
-  const size_t nl = edge->est_left_rows;
-  const size_t nr = edge->est_right_rows;
-  const size_t n_index = edge->est_result_rows;
-  const double pi_l = static_cast<double>(std::max<size_t>(1, pi_left));
-  const double pi_r = static_cast<double>(std::max<size_t>(1, pi_right));
-
-  const size_t pair_width = sizeof(cluster::KeyOid);
-  Accumulate(&out->join_cost,
-             costmodel::PartitionedHashJoinCost(
-                 hw, cpu, nl, nr, pair_width,
-                 cluster::PartitionedJoinBits(nr, pair_width, hw)),
-             1.0);
-
-  switch (edge->physical.left) {
-    case SideStrategy::kUnsorted:
-      Accumulate(&out->projection_cost,
-                 costmodel::ClusteredPositionalJoinCost(
-                     hw, cpu, n_index, nl, sizeof(oid_t), /*bits=*/0,
-                     /*sorted=*/false),
-                 pi_l);
-      break;
-    case SideStrategy::kSorted: {
-      radix_bits_t bits = SignificantBits(std::max<size_t>(1, nl));
-      Accumulate(&out->cluster_cost,
-                 costmodel::RadixClusterCost(hw, cpu, n_index,
-                                             sizeof(cluster::OidPair), bits,
-                                             cluster::PassesFor(bits, hw)),
-                 1.0);
-      Accumulate(&out->projection_cost,
-                 costmodel::ClusteredPositionalJoinCost(
-                     hw, cpu, n_index, nl, sizeof(oid_t), /*bits=*/0,
-                     /*sorted=*/true),
-                 pi_l);
-      break;
-    }
-    case SideStrategy::kClustered:
-    case SideStrategy::kDecluster: {
-      cluster::ClusterSpec spec = project::detail::SpecFor(
-          SideStrategy::kClustered, n_index, nl, hw,
-          edge->physical.left_bits);
-      Accumulate(&out->cluster_cost,
-                 costmodel::RadixClusterCost(hw, cpu, n_index,
-                                             sizeof(cluster::OidPair),
-                                             spec.total_bits, spec.passes),
-                 1.0);
-      Accumulate(&out->projection_cost,
-                 costmodel::ClusteredPositionalJoinCost(
-                     hw, cpu, n_index, nl, sizeof(oid_t), spec.total_bits,
-                     /*sorted=*/false),
-                 pi_l);
-      break;
-    }
-  }
-
-  if (edge->physical.right == SideStrategy::kUnsorted) {
-    Accumulate(&out->projection_cost,
-               costmodel::ClusteredPositionalJoinCost(
-                   hw, cpu, n_index, nr, sizeof(oid_t), /*bits=*/0,
-                   /*sorted=*/false),
-               pi_r);
-  } else {
-    cluster::ClusterSpec spec = project::detail::SpecFor(
-        SideStrategy::kClustered, n_index, nr, hw, edge->physical.right_bits);
-    const size_t window = decluster::WindowPolicy::ChooseWindowElems(
-        hw, sizeof(oid_t), size_t{1} << spec.total_bits,
-        std::max<size_t>(1, n_index));
-    Accumulate(&out->cluster_cost,
-               costmodel::RadixClusterCost(hw, cpu, n_index, 2 * sizeof(oid_t),
-                                           spec.total_bits, spec.passes),
-               1.0);
-    Accumulate(&out->projection_cost,
-               costmodel::ClusteredPositionalJoinCost(
-                   hw, cpu, n_index, nr, sizeof(oid_t), spec.total_bits,
-                   /*sorted=*/false),
-               pi_r);
-    Accumulate(&out->decluster_cost,
-               costmodel::RadixDeclusterCost(hw, cpu, n_index, sizeof(oid_t),
-                                             spec.total_bits, window),
-               pi_r);
-  }
-
-  // The blocking join's modeled footprint: both drained inputs, the key
-  // copies, the join index, and the materialized output oid columns.
-  const size_t footprint =
-      sizeof(oid_t) * (nl * pi_left + nr * pi_right)     // drained inputs
-      + sizeof(value_t) * (nl + nr)                      // gathered keys
-      + sizeof(cluster::OidPair) * n_index               // join index
-      + sizeof(oid_t) * n_index * (pi_left + pi_right);  // output
-  out->modeled_intermediate_bytes =
-      std::max(out->modeled_intermediate_bytes, footprint);
-}
 
 /// Bottom-up cardinality estimation + per-edge planning. Returns the
 /// estimated row count of the subtree and appends join EdgePlans in
@@ -216,32 +102,46 @@ size_t EstimateNode(EstimatorState* st, const PlanNode& node) {
       const size_t pi_left = SubtreeTableCount(*node.children[0]);
       const size_t pi_right = SubtreeTableCount(*node.children[1]);
 
+      // Fig. 10 per-edge strategy choice and its cost, against the edge's
+      // estimates — the accounting of the two-sided engine Explain, where
+      // the "columns" are the subtree oid columns the join gathers.
+      project::Plan plan = project::PlanDsmPost(nl, nr, pi_left, *st->hw);
+      PhysicalPlan* out = st->out;
+      project::DsmPostCostInput in;
+      in.left_rows = nl;
+      in.right_rows = nr;
+      in.index_rows = est;
+      in.value_width = sizeof(oid_t);
+      in.pi_left = pi_left;
+      in.pi_right = pi_right;
+      in.sides = plan.options;
+      project::DsmPostCost(in, *st->hw, *st->cpu,
+                           {&out->join_cost, &out->cluster_cost,
+                            &out->projection_cost, &out->decluster_cost});
+      // The blocking join's modeled footprint: both drained inputs, the
+      // key copies, the join index, and the materialized output oid
+      // columns.
+      const size_t footprint =
+          sizeof(oid_t) * (nl * pi_left + nr * pi_right)  // drained inputs
+          + sizeof(value_t) * (nl + nr)                   // gathered keys
+          + sizeof(cluster::OidPair) * est                // join index
+          + sizeof(oid_t) * est * (pi_left + pi_right);   // output
+      out->modeled_intermediate_bytes =
+          std::max(out->modeled_intermediate_bytes, footprint);
+
       EdgePlan edge;
       edge.left_table = node.left_table;
       edge.right_table = node.right_table;
       edge.est_left_rows = nl;
       edge.est_right_rows = nr;
       edge.est_result_rows = est;
-
-      // Fig. 10 per-edge strategy choice, against the edge's estimates.
-      project::Plan plan = project::PlanDsmPost(nl, nr, est, pi_left,
-                                                pi_right, *st->hw,
-                                                st->num_threads);
       edge.physical.left = plan.options.left;
       edge.physical.right = plan.options.right;
-      if (edge.physical.right == SideStrategy::kSorted ||
-          edge.physical.right == SideStrategy::kClustered) {
-        edge.physical.right = SideStrategy::kDecluster;
-      }
       edge.physical.left_bits = plan.options.left_bits;
       edge.physical.right_bits = plan.options.right_bits;
       edge.easy = plan.easy;
-      edge.code = project::SideStrategyCode(edge.physical.left);
-      edge.code += "/";
-      edge.code += project::SideStrategyCode(edge.physical.right);
-
-      CostEdge(st, &edge, pi_left, pi_right);
-      st->out->edges.push_back(std::move(edge));
+      edge.code = std::move(plan.code);
+      out->edges.push_back(std::move(edge));
       return est;
     }
     case NodeKind::kProject:
@@ -290,13 +190,12 @@ std::string PhysicalPlan::Summary() const {
 
 Status Optimize(const Catalog& catalog, const LogicalPlan& plan,
                 const hardware::MemoryHierarchy& hw,
-                const costmodel::CpuCosts& cpu, size_t num_threads,
-                PhysicalPlan* out) {
+                const costmodel::CpuCosts& cpu, PhysicalPlan* out) {
   Status valid = ValidatePlan(catalog, plan);
   if (!valid.ok()) return valid;
 
   *out = PhysicalPlan{};
-  EstimatorState st{&catalog, &hw, &cpu, num_threads, out};
+  EstimatorState st{&catalog, &hw, &cpu, out};
   out->est_result_rows = EstimateNode(&st, *plan.root);
   out->modeled_seconds = out->join_cost.seconds + out->cluster_cost.seconds +
                          out->projection_cost.seconds +

@@ -61,7 +61,7 @@ struct PhysicalPlan {
 [[nodiscard]] Status Optimize(const Catalog& catalog, const LogicalPlan& plan,
                               const hardware::MemoryHierarchy& hw,
                               const costmodel::CpuCosts& cpu,
-                              size_t num_threads, PhysicalPlan* out);
+                              PhysicalPlan* out);
 
 }  // namespace radix::ops
 

@@ -18,8 +18,8 @@ double StreamingExecutor::Run(const ChunkPlan& plan, ChunkStage& gather,
     return wall.ElapsedSeconds();
   }
 
-  ThreadPool* pool = options_.pool;
-  bool threaded = pool != nullptr && pool->num_threads() > 1;
+  ThreadPool* pool = KernelPool(options_.pool);
+  const bool threaded = pool != nullptr;
   size_t slots = options_.ring_slots;
   if (slots == 0) slots = threaded ? pool->num_threads() + 2 : 1;
   slots = std::clamp<size_t>(slots, 1, plan.chunks.size());

@@ -2,7 +2,6 @@
 #include "common/overflow.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "common/thread_pool.h"
 
@@ -156,21 +155,6 @@ ClusteredIds ClusterIndexRight(std::span<const cluster::OidPair> index,
       spec, pool);
 }
 
-std::unique_ptr<ThreadPool> MakePool(size_t num_threads) {
-  if (num_threads == 0) num_threads = ThreadPool::DefaultThreads();
-  if (num_threads <= 1) return nullptr;
-  return std::make_unique<ThreadPool>(num_threads);
-}
-
-ThreadPool* ResolveKernelPool(const DsmPostOptions& options,
-                              std::unique_ptr<ThreadPool>* owned) {
-  if (options.pool != nullptr) {
-    return options.pool->num_threads() > 1 ? options.pool : nullptr;
-  }
-  *owned = MakePool(options.num_threads);
-  return owned->get();
-}
-
 ClusterSpec SpecFor(SideStrategy strategy, size_t index_tuples,
                     size_t column_cardinality,
                     const hardware::MemoryHierarchy& hw, radix_bits_t bits) {
@@ -243,7 +227,6 @@ using cluster::ClusterBorders;
 using cluster::ClusterSpec;
 using detail::ClusterIds;
 using detail::ClusteredIds;
-using detail::MakePool;
 using detail::SpecFor;
 
 /// The decluster side after its Radix-Cluster (paper Fig. 4): positional-
@@ -353,12 +336,9 @@ void ProjectSide(std::vector<oid_t>& ids, SideStrategy strategy,
                  size_t column_cardinality,
                  const hardware::MemoryHierarchy& hw, radix_bits_t bits,
                  size_t window_elems, PhaseBreakdown* phases,
-                 size_t num_threads) {
+                 ThreadPool* pool) {
   RADIX_CHECK(columns.size() == out.size());
-  // Every strategy has a parallel path (kUnsorted parallelizes its gather
-  // loop), so the pool is created whenever threads were requested.
-  std::unique_ptr<ThreadPool> owned = MakePool(num_threads);
-  ThreadPool* pool = owned.get();
+  pool = KernelPool(pool);
   PhaseBreakdown local;
   PhaseBreakdown* ph = phases != nullptr ? phases : &local;
   Timer timer;
@@ -427,8 +407,7 @@ storage::DsmResult ProjectShards(join::JoinShards shards,
   // straight off the reordered pairs.
   PhaseBreakdown local;
   PhaseBreakdown* ph = phases != nullptr ? phases : &local;
-  std::unique_ptr<ThreadPool> owned;
-  ThreadPool* pool = detail::ResolveKernelPool(options, &owned);
+  ThreadPool* pool = KernelPool(options.pool);
   join::JoinIndex index =
       detail::IndexInLeftOrder(std::move(shards), left.cardinality(), hw,
                                options.left, options.left_bits, pool, ph);

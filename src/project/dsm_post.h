@@ -1,7 +1,6 @@
 #ifndef RADIX_PROJECT_DSM_POST_H_
 #define RADIX_PROJECT_DSM_POST_H_
 
-#include <memory>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -34,15 +33,11 @@ struct DsmPostOptions {
   radix_bits_t right_bits = kAuto;
   /// Insertion window in elements; 0 = WindowPolicy default.
   size_t window_elems = 0;
-  /// Worker threads for the Radix-Cluster / Radix-Decluster kernels.
-  /// 1 (default) runs the exact serial kernels — required for MemTracer
-  /// runs; > 1 uses the parallel kernels (byte-identical output); 0 means
-  /// ThreadPool::DefaultThreads(). Ignored when `pool` is set.
-  size_t num_threads = 1;
   /// Caller-owned pool to run the parallel kernels on (the engine's
-  /// session pool). When set it wins over num_threads and no pool is
-  /// constructed inside the projector; a size-1 pool selects the exact
-  /// serial kernels. nullptr (default) = derive a pool from num_threads.
+  /// session pool). nullptr (default) or a one-thread pool runs the exact
+  /// serial kernels — required for MemTracer runs; a larger pool runs the
+  /// parallel kernels (byte-identical output). No pool is constructed
+  /// inside the projector.
   ThreadPool* pool = nullptr;
   /// Gauge the streaming projector's ring arenas register with; nullptr =
   /// the process-wide pipeline::MemoryGauge::Instance(). The materializing
@@ -106,14 +101,15 @@ storage::DsmResult DsmPostProject(join::JoinShards shards,
 /// Project one side only, with an explicit strategy; benchmarked in
 /// isolation in Fig. 8. s and c reorder `ids` in place; for kDecluster the
 /// ids are clustered into a copy and `out[a]` receives column `columns[a]`
-/// fetched at `ids` in result order.
+/// fetched at `ids` in result order. Every strategy has a parallel path
+/// on a multi-thread `pool`; nullptr runs the serial kernels.
 void ProjectSide(std::vector<oid_t>& ids, SideStrategy strategy,
                  const std::vector<std::span<const value_t>>& columns,
                  const std::vector<std::span<value_t>>& out,
                  size_t column_cardinality,
                  const hardware::MemoryHierarchy& hw, radix_bits_t bits,
                  size_t window_elems, PhaseBreakdown* phases,
-                 size_t num_threads = 1);
+                 ThreadPool* pool = nullptr);
 
 /// Streamed DSM post-projection (the pipeline/ subsystem): identical
 /// contract and byte-identical result columns to DsmPostProject, but the
@@ -147,17 +143,6 @@ namespace detail {
 /// Shared plumbing between the materializing and streaming projectors —
 /// both must reorder the index identically so their outputs stay
 /// byte-identical.
-
-/// Lazily-created pool for a num_threads knob: nullptr (serial kernels)
-/// unless the caller asked for > 1 thread; 0 = all hardware threads.
-std::unique_ptr<ThreadPool> MakePool(size_t num_threads);
-
-/// Resolve the kernel pool for one projection: an injected options.pool
-/// wins (size-1 injected pools map to nullptr, i.e. the exact serial
-/// kernels); otherwise a per-call pool is materialized into `owned` from
-/// options.num_threads. Returns the pool the kernels should use.
-ThreadPool* ResolveKernelPool(const DsmPostOptions& options,
-                              std::unique_ptr<ThreadPool>* owned);
 
 cluster::ClusterSpec SpecFor(SideStrategy strategy, size_t index_tuples,
                              size_t column_cardinality,

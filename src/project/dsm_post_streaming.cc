@@ -7,7 +7,6 @@
 // chunk-sized.
 
 #include <algorithm>
-#include <memory>
 
 #include "common/timer.h"
 #include "decluster/window.h"
@@ -43,8 +42,7 @@ storage::DsmResult StreamShards(join::JoinShards shards,
 
   PhaseBreakdown local;
   PhaseBreakdown* ph = phases != nullptr ? phases : &local;
-  std::unique_ptr<ThreadPool> owned;
-  ThreadPool* pool = detail::ResolveKernelPool(options, &owned);
+  ThreadPool* pool = KernelPool(options.pool);
   Timer timer;
 
   // Blocking prefix, identical to DsmPostProject: byte-identical inputs to

@@ -1,10 +1,8 @@
 #include "project/executor.h"
 
-#include <map>
-#include <memory>
+#include <utility>
 #include <vector>
 
-#include "common/mutex.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "join/partitioned_hash_join.h"
@@ -93,23 +91,13 @@ std::vector<value_t> ExtractNsmKeys(const storage::NsmRelation& rel) {
   return keys;
 }
 
-/// Resolve the kernel pool for one query: an injected options.pool wins
-/// (size-1 pools map to nullptr, the exact serial kernels); otherwise the
-/// process-wide shared cache serves a pool of the requested size.
-ThreadPool* ResolveQueryPool(const QueryOptions& options) {
-  if (options.pool != nullptr) {
-    return options.pool->num_threads() > 1 ? options.pool : nullptr;
-  }
-  return detail::SharedPoolFor(options.num_threads);
-}
-
 /// Shared prologue of the materializing and streaming kDsmPostDecluster
 /// paths: run the join phase and resolve the per-side plan. Kept in one
 /// place so the two entry points can never plan differently. The plan
-/// needs only the row count, which the join's shards know, so the index is
-/// not materialized here: the projector turns the shards into the index
-/// in the planned left order (a c/d left side fuses the concatenation into
-/// its first Radix-Cluster pass).
+/// needs only the base cardinalities, so the index is not materialized
+/// here: the projector turns the shards into the index in the planned left
+/// order (a c/d left side fuses the concatenation into its first
+/// Radix-Cluster pass).
 join::JoinShards JoinAndPlanDsmPost(const workload::JoinWorkload& w,
                                     const QueryOptions& options,
                                     const hardware::MemoryHierarchy& hw,
@@ -122,59 +110,26 @@ join::JoinShards JoinAndPlanDsmPost(const workload::JoinWorkload& w,
       w.dsm_left.key().span(), w.dsm_right.key().span(), hw, jopts);
   run->phases.join_seconds = join_timer.ElapsedSeconds();
 
-  if (options.plan_sides) {
-    size_t avg_left = workload::AverageVarcharBytes(
-        w.left_varchars, options.pi_varchar_left);
-    size_t avg_right = workload::AverageVarcharBytes(
-        w.right_varchars, options.pi_varchar_right);
-    Plan plan = PlanDsmPost(w.dsm_left.cardinality(),
-                            w.dsm_right.cardinality(), shards.size(),
-                            options.pi_left, options.pi_right, hw,
-                            options.num_threads, options.pi_varchar_left,
-                            options.pi_varchar_right, avg_left, avg_right);
-    *popts = plan.options;
-    run->detail = plan.code;
-  } else {
-    popts->left = options.left;
-    popts->right = options.right;
-    popts->num_threads = options.num_threads;
-    run->detail = std::string(SideStrategyCode(popts->left)) + "/" +
-                  SideStrategyCode(popts->right);
-  }
+  const PinnedSides pinned{options.left, options.right};
+  Plan plan = PlanDsmPost(
+      w.dsm_left.cardinality(), w.dsm_right.cardinality(), options.pi_left,
+      hw, options.pi_varchar_left, options.pi_varchar_right,
+      workload::AverageVarcharBytes(w.left_varchars, options.pi_varchar_left),
+      workload::AverageVarcharBytes(w.right_varchars,
+                                    options.pi_varchar_right),
+      options.plan_sides ? nullptr : &pinned);
+  *popts = plan.options;
+  run->detail = std::move(plan.code);
   popts->left_bits = options.left_bits;
   popts->right_bits = options.right_bits;
   popts->window_elems = options.window_elems;
   popts->pool = pool;
   popts->gauge = options.gauge;
-  // An injected pool owns the thread count outright: pin num_threads to its
-  // size so a size-1 injected pool (pool == nullptr after resolution) can
-  // never fall back to MakePool(num_threads) downstream and silently run
-  // parallel kernels on a per-call pool.
-  if (options.pool != nullptr) {
-    popts->num_threads = options.pool->num_threads();
-  }
   run->threads_used = pool != nullptr ? pool->num_threads() : 1;
   return shards;
 }
 
 }  // namespace
-
-namespace detail {
-
-ThreadPool* SharedPoolFor(size_t num_threads) {
-  if (num_threads == 0) num_threads = ThreadPool::DefaultThreads();
-  if (num_threads <= 1) return nullptr;
-  // The pool registry mutex is a leaf lock; ThreadPool construction under
-  // it spawns workers but never blocks on them.
-  static Mutex mu;
-  static std::map<size_t, std::unique_ptr<ThreadPool>> pools;
-  MutexLock lock(mu);
-  std::unique_ptr<ThreadPool>& pool = pools[num_threads];
-  if (pool == nullptr) pool = std::make_unique<ThreadPool>(num_threads);
-  return pool.get();
-}
-
-}  // namespace detail
 
 QueryRun RunQuery(const workload::JoinWorkload& w, JoinStrategy strategy,
                   const QueryOptions& options,
@@ -184,7 +139,7 @@ QueryRun RunQuery(const workload::JoinWorkload& w, JoinStrategy strategy,
   Timer total;
   // Kernels of the strategies that have parallel paths, and the result
   // checksum of every strategy, run on this pool.
-  ThreadPool* pool = ResolveQueryPool(options);
+  ThreadPool* pool = KernelPool(options.pool);
 
   switch (strategy) {
     case JoinStrategy::kDsmPostDecluster: {
@@ -297,7 +252,7 @@ QueryRun RunQueryStreaming(const workload::JoinWorkload& w,
   QueryRun run;
   run.strategy = strategy;
   Timer total;
-  ThreadPool* pool = ResolveQueryPool(options);
+  ThreadPool* pool = KernelPool(options.pool);
   DsmPostOptions popts;
   join::JoinShards shards =
       JoinAndPlanDsmPost(w, options, hw, pool, &run, &popts);

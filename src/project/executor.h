@@ -33,9 +33,9 @@ struct QueryRun {
   std::string detail;  ///< e.g. the DSM-post plan code "c/d"
   /// Worker threads that actually executed the projection kernels. Only
   /// kDsmPostDecluster has parallel kernels so far: it reports the pool
-  /// size; every other strategy runs serial and honestly reports 1, no
-  /// matter what QueryOptions::num_threads asked for — so benchmark tables
-  /// cannot mislabel serial runs as parallel.
+  /// size; every other strategy runs serial and honestly reports 1,
+  /// whatever QueryOptions::pool holds — so benchmark tables cannot
+  /// mislabel serial runs as parallel.
   size_t threads_used = 1;
 };
 
@@ -65,19 +65,13 @@ struct QueryOptions {
   radix_bits_t left_bits = kAutoBits;
   radix_bits_t right_bits = kAutoBits;
   size_t window_elems = 0;
-  /// Worker threads for the Radix-Cluster / Radix-Decluster kernels of the
-  /// DSM post-projection strategy (kDsmPostDecluster) — the only strategy
-  /// with parallel kernels so far; the NSM and pre-projection strategies
-  /// run serial regardless and report QueryRun::threads_used == 1.
-  /// 1 (default) = the exact serial kernels (required for MemTracer runs);
-  /// > 1 = parallel kernels with byte-identical output; 0 = all hardware
-  /// threads. Ignored when `pool` is set.
-  size_t num_threads = 1;
-  /// Caller-owned pool for the parallel kernels — how radix::engine::Engine
-  /// injects its session pool so queries spawn no threads. When set it wins
-  /// over num_threads; a size-1 pool selects the exact serial kernels.
-  /// nullptr (default): the executor resolves a process-wide shared pool
-  /// from num_threads (see detail::SharedPoolFor).
+  /// Caller-owned pool for the Radix-Cluster / Radix-Decluster kernels of
+  /// the DSM post-projection strategy (kDsmPostDecluster) — the only
+  /// strategy with parallel kernels so far; the NSM and pre-projection
+  /// strategies run serial regardless and report QueryRun::threads_used
+  /// == 1. nullptr (default) or a one-thread pool runs the exact serial
+  /// kernels (required for MemTracer runs); a larger pool runs the
+  /// parallel kernels with byte-identical output.
   ThreadPool* pool = nullptr;
   /// Chunk size (rows) for RunQueryStreaming's pipeline; 0 = auto, a
   /// cache-sized chunk per column (DefaultChunkRows). RunQuery ignores it.
@@ -89,23 +83,15 @@ struct QueryOptions {
   pipeline::MemoryGauge* gauge = nullptr;
 };
 
-/// DEPRECATED — prefer radix::engine::Engine (Prepare/Explain/Execute),
-/// which owns the thread pool, the calibrated hardware profile, and the
-/// cost-model-driven plan. RunQuery survives as a thin compatibility
-/// wrapper: it executes exactly as before, but resolves its worker pool
-/// from the process-wide shared cache (one pool per distinct size, reused
-/// across calls) instead of spawning threads per query.
-///
-/// Execute the query on a generated workload with the given strategy.
+/// Execute the query on a generated workload with the given strategy —
+/// the Fig. 10 strategy runner behind engine::Engine, which prepares the
+/// options (plan, pool, chunk size) it passes here. A pinned DSM-post plan
+/// resolves through PlanDsmPost like a planned one, so QueryRun::detail
+/// names the sides that ran.
 QueryRun RunQuery(const workload::JoinWorkload& w, JoinStrategy strategy,
                   const QueryOptions& options,
                   const hardware::MemoryHierarchy& hw);
 
-/// DEPRECATED — prefer radix::engine::Engine with ChunkingPolicy::kStream
-/// (or a streaming budget), which picks materializing vs streaming from
-/// the cost model instead of by entry point. Wrapper semantics match
-/// RunQuery's.
-///
 /// Streamed execution (the pipeline/ subsystem): for the DSM
 /// post-projection strategy the gather and Radix-Decluster phases exchange
 /// cluster-aligned chunks of options.chunk_rows rows through a bounded ring
@@ -118,23 +104,6 @@ QueryRun RunQuery(const workload::JoinWorkload& w, JoinStrategy strategy,
 QueryRun RunQueryStreaming(const workload::JoinWorkload& w,
                            JoinStrategy strategy, const QueryOptions& options,
                            const hardware::MemoryHierarchy& hw);
-
-namespace detail {
-
-/// Process-wide shared kernel pools for the legacy free-function entry
-/// points: one lazily-constructed pool per distinct size, reused for the
-/// life of the process, so repeated RunQuery calls stop paying thread
-/// spawn/teardown. Returns nullptr for num_threads <= 1 (exact serial
-/// kernels); num_threads == 0 resolves to ThreadPool::DefaultThreads().
-/// Thread-safe: the cache itself is mutex-guarded, and the returned pool
-/// may be shared by concurrent legacy callers — ThreadPool::ParallelFor
-/// tracks completion per call (the pool-wide Wait() the old scheduler
-/// used could block a query behind every other query's tasks), so
-/// concurrent RunQuery calls interleave at grain granularity instead of
-/// corrupting or starving each other.
-ThreadPool* SharedPoolFor(size_t num_threads);
-
-}  // namespace detail
 
 }  // namespace radix::project
 

@@ -263,7 +263,9 @@ TEST(EngineAdmissionTest, GaugePeakNeverExceedsBudgetUnderConcurrency) {
 
   cfg.admission_budget_bytes = 2 * per_query + per_query / 8;  // ~2 slots
   Engine eng(cfg);
-  const uint64_t expect_sum = probe.Execute(w, spec).checksum;
+  project::QueryRun expect;
+  ASSERT_TRUE(probe.Prepare(w, spec).Execute(&expect).ok());
+  const uint64_t expect_sum = expect.checksum;
 
   std::atomic<size_t> bad{0};
   std::vector<std::thread> clients;
@@ -306,7 +308,9 @@ TEST(EngineAdmissionTest, QueriesQueueInsteadOfFailingWhenBudgetIsTight) {
 
   cfg.admission_budget_bytes = per_query;  // one slot
   Engine eng(cfg);
-  const uint64_t expect_sum = probe.Execute(w, spec).checksum;
+  project::QueryRun expect;
+  ASSERT_TRUE(probe.Prepare(w, spec).Execute(&expect).ok());
+  const uint64_t expect_sum = expect.checksum;
 
   // Each client runs a burst of queries so the single admission slot is
   // contended over a long window: whenever the scheduler parks a client

@@ -34,6 +34,14 @@ EngineConfig P4Config(size_t threads) {
   return cfg;
 }
 
+/// Execute a prepared query, failing the test on a non-OK Status.
+project::QueryRun RunOk(const PreparedQuery& q) {
+  project::QueryRun run;
+  Status status = q.Execute(&run);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return run;
+}
+
 workload::JoinWorkload MakeW(size_t n, uint64_t seed) {
   workload::JoinWorkloadSpec spec;
   spec.cardinality = n;
@@ -81,7 +89,7 @@ const std::vector<std::vector<Expected>>& SerialExpectations(
     std::vector<std::vector<Expected>> out(shapes.size());
     for (size_t s = 0; s < shapes.size(); ++s) {
       for (const workload::JoinWorkload& w : workloads) {
-        project::QueryRun run = serial.Execute(w, shapes[s]);
+        project::QueryRun run = RunOk(serial.Prepare(w, shapes[s]));
         out[s].push_back(Expected{run.checksum, run.result_cardinality});
       }
     }
@@ -187,20 +195,22 @@ TEST(EngineConcurrencyTest, PointQueriesCompleteWhileHeavyQueryRuns) {
   EXPECT_TRUE(point.Explain().high_priority);
 
   Engine serial(P4Config(/*threads=*/1));
-  const uint64_t heavy_sum = serial.Execute(heavy_w, heavy_spec).checksum;
-  const uint64_t point_sum = serial.Execute(point_w, point_spec).checksum;
+  const uint64_t heavy_sum =
+      RunOk(serial.Prepare(heavy_w, heavy_spec)).checksum;
+  const uint64_t point_sum =
+      RunOk(serial.Prepare(point_w, point_spec)).checksum;
 
   std::atomic<size_t> bad{0};
   std::thread heavy_client([&] {
     for (int i = 0; i < 3; ++i) {
-      if (heavy.Execute().checksum != heavy_sum) bad.fetch_add(1);
+      if (RunOk(heavy).checksum != heavy_sum) bad.fetch_add(1);
     }
   });
   std::vector<std::thread> point_clients;
   for (int c = 0; c < 4; ++c) {
     point_clients.emplace_back([&] {
       for (int i = 0; i < 8; ++i) {
-        if (point.Execute().checksum != point_sum) bad.fetch_add(1);
+        if (RunOk(point).checksum != point_sum) bad.fetch_add(1);
       }
     });
   }
@@ -210,13 +220,11 @@ TEST(EngineConcurrencyTest, PointQueriesCompleteWhileHeavyQueryRuns) {
 }
 
 // ---------------------------------------------------------------------------
-// Regression: detail::SharedPoolFor's process-wide pool cache is reachable
-// from any number of legacy RunQuery callers at once. Concurrent calls must
-// (a) not race (TSan gates this suite), (b) share the cached pools instead
-// of constructing new ones, and (c) still compute serial-identical results
-// even though their ParallelFor grains interleave on the SAME pool — the
-// old pool-wide Wait() could block one query behind every other query's
-// tasks.
+// Concurrent RunQuery callers sharing one caller-owned pool must (a) not
+// race (TSan gates this suite), (b) construct no pool of their own, and
+// (c) still compute serial-identical results even though their
+// ParallelFor grains interleave on the SAME pool — the old pool-wide
+// Wait() could block one query behind every other query's tasks.
 // ---------------------------------------------------------------------------
 
 TEST(SharedPoolConcurrencyTest, ConcurrentLegacyCallsShareCachedPools) {
@@ -229,13 +237,9 @@ TEST(SharedPoolConcurrencyTest, ConcurrentLegacyCallsShareCachedPools) {
   const project::QueryRun serial = project::RunQuery(
       w, JoinStrategy::kDsmPostDecluster, serial_opts, hw);
 
+  ThreadPool pool(2);
   project::QueryOptions par_opts = serial_opts;
-  par_opts.num_threads = 2;
-  // Warm the cache so the steady state is measurable.
-  ASSERT_EQ(project::RunQuery(w, JoinStrategy::kDsmPostDecluster, par_opts,
-                              hw)
-                .checksum,
-            serial.checksum);
+  par_opts.pool = &pool;
 
   const uint64_t pools_before = ThreadPool::TotalConstructed();
   std::atomic<size_t> mismatches{0};
@@ -254,8 +258,8 @@ TEST(SharedPoolConcurrencyTest, ConcurrentLegacyCallsShareCachedPools) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(mismatches.load(), 0u);
-  // Zero pool constructions under concurrent legacy load: the cache serves
-  // every call.
+  // Zero pool constructions under concurrent load: every call runs on the
+  // one pool it was given.
   EXPECT_EQ(ThreadPool::TotalConstructed(), pools_before);
 }
 

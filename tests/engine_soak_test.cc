@@ -98,7 +98,8 @@ TEST(EngineSoakTest, MixedShapesUnderLoadStayCorrect) {
   serial_cfg.hierarchy = hardware::MemoryHierarchy::Pentium4();
   Engine serial(serial_cfg);
   for (SoakQuery& q : mix) {
-    project::QueryRun run = serial.Execute(*q.workload, q.spec);
+    project::QueryRun run;
+    ASSERT_TRUE(serial.Prepare(*q.workload, q.spec).Execute(&run).ok());
     q.checksum = run.checksum;
     q.cardinality = run.result_cardinality;
   }

@@ -35,6 +35,19 @@ EngineConfig P4Config(size_t threads = 1) {
   return cfg;
 }
 
+/// Prepare + Execute, failing the test on a non-OK Status.
+project::QueryRun RunOk(const PreparedQuery& q) {
+  project::QueryRun run;
+  Status status = q.Execute(&run);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return run;
+}
+
+project::QueryRun RunOk(const Engine& eng, const workload::JoinWorkload& w,
+                        const QuerySpec& spec) {
+  return RunOk(eng.Prepare(w, spec));
+}
+
 workload::JoinWorkload MakeW(size_t n, uint64_t seed, size_t omega = 4) {
   workload::JoinWorkloadSpec spec;
   spec.cardinality = n;
@@ -65,7 +78,7 @@ TEST(EngineTest, ReusedEngineMatchesLegacyAcrossConsecutiveQueries) {
       legacy.pi_right = 2;
       project::QueryRun ref = project::RunQuery(w, s, legacy, hw);
       for (int round = 0; round < 3; ++round) {
-        project::QueryRun run = eng.Execute(w, spec);
+        project::QueryRun run = RunOk(eng, w, spec);
         ASSERT_EQ(run.checksum, ref.checksum)
             << project::JoinStrategyName(s) << " seed=" << seed
             << " round=" << round;
@@ -87,9 +100,10 @@ TEST(EngineTest, PreparedPlanAgreesWithPlanner) {
   PreparedQuery q = eng.Prepare(w, spec);
   const Explanation& ex = q.Explain();
 
-  project::Plan plan = project::PlanDsmPost(
-      w.dsm_left.cardinality(), w.dsm_right.cardinality(),
-      w.expected_result_size, spec.pi_left, spec.pi_right, eng.hierarchy());
+  project::Plan plan =
+      project::PlanDsmPost(w.dsm_left.cardinality(),
+                           w.dsm_right.cardinality(), spec.pi_left,
+                           eng.hierarchy());
   EXPECT_EQ(ex.plan_code, plan.code);
   EXPECT_EQ(ex.plan_code, "c/d");
   EXPECT_FALSE(ex.easy);
@@ -97,7 +111,7 @@ TEST(EngineTest, PreparedPlanAgreesWithPlanner) {
   EXPECT_EQ(ex.side_options.right, plan.options.right);
 
   // The executed run must carry the explained plan code verbatim.
-  project::QueryRun run = q.Execute();
+  project::QueryRun run = RunOk(q);
   EXPECT_EQ(run.detail, ex.plan_code);
   EXPECT_EQ(run.strategy, JoinStrategy::kDsmPostDecluster);
 }
@@ -165,23 +179,23 @@ TEST(EngineTest, ZeroThreadPoolConstructionsPerQueryAfterStartup) {
 
   uint64_t before = ThreadPool::TotalConstructed();
   for (int round = 0; round < 3; ++round) {
-    eng.Execute(w, dsm);
-    eng.Execute(w, streamed);
-    eng.Execute(w, nsm);
+    RunOk(eng, w, dsm);
+    RunOk(eng, w, streamed);
+    RunOk(eng, w, nsm);
   }
   EXPECT_EQ(ThreadPool::TotalConstructed(), before);
 }
 
 TEST(EngineTest, LegacyWrappersReuseProcessWidePool) {
-  // The deprecated free functions resolve their pool from the shared
-  // cache: after a warm-up call per size, repeated queries construct none.
+  // The free functions run on the caller's pool: repeated queries on one
+  // pool construct none, materializing or streaming.
   auto hw = P4();
   workload::JoinWorkload w = MakeW(1 << 12, 9);
+  ThreadPool pool(3);
   project::QueryOptions opts;
   opts.pi_left = 1;
   opts.pi_right = 1;
-  opts.num_threads = 3;
-  project::RunQuery(w, JoinStrategy::kDsmPostDecluster, opts, hw);  // warm
+  opts.pool = &pool;
   uint64_t before = ThreadPool::TotalConstructed();
   for (int round = 0; round < 3; ++round) {
     project::RunQuery(w, JoinStrategy::kDsmPostDecluster, opts, hw);
@@ -193,12 +207,13 @@ TEST(EngineTest, LegacyWrappersReuseProcessWidePool) {
 TEST(EngineTest, ThreadsUsedIsHonest) {
   auto hw = P4();
   workload::JoinWorkload w = MakeW(1 << 12, 13);
+  ThreadPool pool(4);
   project::QueryOptions opts;
   opts.pi_left = 1;
   opts.pi_right = 1;
-  opts.num_threads = 4;
+  opts.pool = &pool;
   // Only the DSM post-projection strategy has parallel kernels; everything
-  // else must report threads_used == 1 no matter what was requested.
+  // else must report threads_used == 1 whatever pool it was given.
   project::QueryRun par =
       project::RunQuery(w, JoinStrategy::kDsmPostDecluster, opts, hw);
   EXPECT_EQ(par.threads_used, 4u);
@@ -211,17 +226,15 @@ TEST(EngineTest, ThreadsUsedIsHonest) {
 
   Engine eng(P4Config(/*threads=*/2));
   QuerySpec spec;
-  EXPECT_EQ(eng.Execute(w, spec).threads_used, 2u);
+  EXPECT_EQ(RunOk(eng, w, spec).threads_used, 2u);
   QuerySpec nsm;
   nsm.strategy = JoinStrategy::kNsmPrePhash;
-  EXPECT_EQ(eng.Execute(w, nsm).threads_used, 1u);
+  EXPECT_EQ(RunOk(eng, w, nsm).threads_used, 1u);
 }
 
 TEST(EngineTest, InjectedSizeOnePoolPinsSerialExecution) {
-  // An injected pool owns the thread count outright: a size-1 pool with a
-  // conflicting num_threads must run the exact serial kernels, report
-  // threads_used == 1, and never fall back to constructing a per-call
-  // pool from num_threads.
+  // A size-1 pool runs the exact serial kernels, reports threads_used ==
+  // 1, and constructs no pool of its own.
   auto hw = P4();
   workload::JoinWorkload w = MakeW(1 << 12, 27);
   ThreadPool serial_pool(1);
@@ -229,7 +242,6 @@ TEST(EngineTest, InjectedSizeOnePoolPinsSerialExecution) {
   opts.pi_left = 2;
   opts.pi_right = 2;
   opts.pool = &serial_pool;
-  opts.num_threads = 4;  // must be ignored: the injected pool wins
   uint64_t before = ThreadPool::TotalConstructed();
   project::QueryRun run =
       project::RunQuery(w, JoinStrategy::kDsmPostDecluster, opts, hw);
@@ -269,8 +281,8 @@ TEST(EngineTest, CalibratedEngineMatchesPresetEngineResults) {
     PreparedQuery a = preset.Prepare(w, spec);
     PreparedQuery b = calibrated.Prepare(w, spec);
     EXPECT_EQ(a.Explain().plan_code, b.Explain().plan_code);
-    project::QueryRun ra = a.Execute();
-    project::QueryRun rb = b.Execute();
+    project::QueryRun ra = RunOk(a);
+    project::QueryRun rb = RunOk(b);
     EXPECT_EQ(ra.checksum, rb.checksum) << project::JoinStrategyName(s);
     EXPECT_EQ(ra.result_cardinality, rb.result_cardinality);
   }
@@ -316,9 +328,9 @@ TEST(EngineTest, ChunkingPolicyControlsExecutionMode) {
   legacy.right = SideStrategy::kDecluster;
   project::QueryRun ref = project::RunQuery(
       w, JoinStrategy::kDsmPostDecluster, legacy, P4());
-  EXPECT_EQ(budget.Execute(w, spec).checksum, ref.checksum);
+  EXPECT_EQ(RunOk(budget, w, spec).checksum, ref.checksum);
   forced.chunking = ChunkingPolicy::kStream;
-  EXPECT_EQ(mat.Execute(w, forced).checksum, ref.checksum);
+  EXPECT_EQ(RunOk(mat, w, forced).checksum, ref.checksum);
 }
 
 TEST(EngineTest, ExplainStreamingCostUsesStreamingModel) {
@@ -427,6 +439,59 @@ TEST(EngineTest, VarcharQueriesNeverStream) {
   EXPECT_TRUE(eng.Prepare(w, u_right_no_var).Explain().streaming);
 }
 
+TEST(EngineTest, PinnedAndPlannedSidesShareOneLabel) {
+  // One resolver labels a plan: pinning the sides the planner picks must
+  // give the same code and the same easy/hard label. 2^16 fixed values
+  // fit the P4's 512 KB L2; their varchar offsets + heap do not.
+  Engine eng(P4Config());
+  workload::JoinWorkload w = MakeVarcharW(1 << 16, 43);
+  QuerySpec planned;
+  planned.pi_varchar_left = 1;
+  planned.pi_varchar_right = 1;
+  const Explanation ex = eng.Prepare(w, planned).Explain();
+  QuerySpec pinned = planned;
+  pinned.plan_sides = false;
+  pinned.left = ex.side_options.left;
+  pinned.right = ex.side_options.right;
+  const Explanation px = eng.Prepare(w, pinned).Explain();
+  EXPECT_EQ(px.plan_code, ex.plan_code);
+  EXPECT_EQ(px.easy, ex.easy);
+  EXPECT_FALSE(ex.easy) << ex.plan_code;
+}
+
+TEST(EngineTest, PinnedRightReorderRunsAndReportsDecluster) {
+  // §4.1: only the first projection table may be reordered, so a pinned
+  // right side of s or c runs as d — and the run and Explain both say d.
+  auto hw = P4();
+  workload::JoinWorkload w = MakeW(1 << 12, 45);
+  project::QueryOptions cd;
+  cd.pi_left = 1;
+  cd.pi_right = 1;
+  cd.plan_sides = false;
+  cd.left = SideStrategy::kClustered;
+  cd.right = SideStrategy::kDecluster;
+  const project::QueryRun ref =
+      project::RunQuery(w, JoinStrategy::kDsmPostDecluster, cd, hw);
+  Engine eng(P4Config());
+  for (SideStrategy right : {SideStrategy::kSorted, SideStrategy::kClustered}) {
+    project::QueryOptions opts = cd;
+    opts.right = right;
+    project::QueryRun run =
+        project::RunQuery(w, JoinStrategy::kDsmPostDecluster, opts, hw);
+    EXPECT_EQ(run.detail, "c/d");
+    EXPECT_EQ(run.checksum, ref.checksum);
+
+    QuerySpec spec;
+    spec.plan_sides = false;
+    spec.left = SideStrategy::kClustered;
+    spec.right = right;
+    PreparedQuery q = eng.Prepare(w, spec);
+    EXPECT_EQ(q.Explain().plan_code, "c/d");
+    EXPECT_EQ(q.Explain().side_options.right, SideStrategy::kDecluster);
+    EXPECT_EQ(RunOk(q).detail, "c/d");
+  }
+}
+
 TEST(EngineTest, ModeReasonExplainsWhyStreamingWasRejected) {
   // Satellite contract: Explain() must *say why* the mode was chosen, not
   // just which one — especially when streaming was rejected.
@@ -524,26 +589,16 @@ TEST(EngineTest, VarcharExecuteMatchesLegacyAndIsThreadInvariant) {
     qs.strategy = s;
     project::QueryRun ref = project::RunQuery(w, s, legacy, hw);
     Engine serial(P4Config());
-    project::QueryRun run = serial.Execute(w, qs);
+    project::QueryRun run = RunOk(serial, w, qs);
     ASSERT_EQ(run.checksum, ref.checksum) << project::JoinStrategyName(s);
     ASSERT_EQ(run.result_cardinality, ref.result_cardinality);
   }
 
   Engine threaded(P4Config(/*threads=*/4));
-  project::QueryRun threaded_run = threaded.Execute(w, spec);
+  project::QueryRun threaded_run = RunOk(threaded, w, spec);
   project::QueryRun serial_ref = project::RunQuery(
       w, JoinStrategy::kDsmPostDecluster, legacy, hw);
   EXPECT_EQ(threaded_run.checksum, serial_ref.checksum);
-}
-
-TEST(EngineTest, DefaultEngineIsUsableAndSerial) {
-  Engine& eng = Engine::Default();
-  EXPECT_EQ(eng.num_threads(), 1u);
-  EXPECT_EQ(eng.pool(), nullptr);
-  workload::JoinWorkload w = MakeW(2048, 1, /*omega=*/3);
-  QuerySpec spec;
-  project::QueryRun run = eng.Execute(w, spec);
-  EXPECT_EQ(run.result_cardinality, w.expected_result_size);
 }
 
 TEST(EngineTest, ProjectionCountsBeyondTheWorkloadAreInvalidArguments) {

@@ -140,17 +140,17 @@ TEST(DetectTest, PartitioningAndPlansFollowThePrivateL2) {
   EXPECT_EQ(cluster::PartitionedJoinBits(size_t{1} << 22, 8, hw), 6u);
   // 2^22: the 16 MiB left column exceeds the L2 (cluster it), the right
   // one fits this core's 26.25 MiB LLC share (gather it unsorted).
-  EXPECT_EQ(project::PlanDsmPost(size_t{1} << 22, size_t{1} << 22,
-                                 size_t{1} << 22, 4, 4, hw)
+  EXPECT_EQ(project::PlanDsmPost(size_t{1} << 22, size_t{1} << 22, 4,
+                                 hw)
                 .code,
             "c/u");
-  EXPECT_EQ(project::PlanDsmPost(size_t{1} << 16, size_t{1} << 16,
-                                 size_t{1} << 16, 4, 4, hw)
+  EXPECT_EQ(project::PlanDsmPost(size_t{1} << 16, size_t{1} << 16, 4,
+                                 hw)
                 .code,
             "u/u");
   // 2^24: 64 MiB columns exceed the share too — the paper's c/d.
-  EXPECT_EQ(project::PlanDsmPost(size_t{1} << 24, size_t{1} << 24,
-                                 size_t{1} << 24, 4, 4, hw)
+  EXPECT_EQ(project::PlanDsmPost(size_t{1} << 24, size_t{1} << 24, 4,
+                                 hw)
                 .code,
             "c/d");
 }

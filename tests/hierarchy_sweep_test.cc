@@ -72,11 +72,10 @@ TEST_P(HierarchySweep, EasyHardBoundaryTracksCacheSize) {
   EXPECT_TRUE(project::ColumnFitsCache(fits, hw));
   EXPECT_FALSE(project::ColumnFitsCache(fits * 2, hw));
   // Planner: easy joins never engage the radix machinery.
-  project::Plan easy = project::PlanDsmPost(fits / 2, fits / 2, fits / 2,
-                                            4, 4, hw);
+  project::Plan easy = project::PlanDsmPost(fits / 2, fits / 2, 4, hw);
   EXPECT_EQ(easy.code, "u/u");
   project::Plan hard =
-      project::PlanDsmPost(fits * 8, fits * 8, fits * 8, 4, 4, hw);
+      project::PlanDsmPost(fits * 8, fits * 8, 4, hw);
   EXPECT_EQ(hard.code, "c/d");
 }
 

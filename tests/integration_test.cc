@@ -42,6 +42,20 @@ engine::Engine& P4Engine() {
   return eng;
 }
 
+/// Prepare + Execute on the suite's engine, failing the test on a non-OK
+/// Status.
+QueryRun RunOk(const engine::PreparedQuery& q) {
+  QueryRun run;
+  Status status = q.Execute(&run);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return run;
+}
+
+QueryRun RunOk(const workload::JoinWorkload& w,
+               const engine::QuerySpec& spec) {
+  return RunOk(P4Engine().Prepare(w, spec));
+}
+
 /// Scalar reference: nested-loop join + projection, producing the same
 /// order-independent checksum the executor computes.
 uint64_t ReferenceChecksum(const workload::JoinWorkload& w, size_t pi_left,
@@ -97,7 +111,7 @@ TEST_P(PipelineSweep, AllStrategiesMatchScalarReference) {
         JoinStrategy::kNsmPreHash, JoinStrategy::kNsmPrePhash,
         JoinStrategy::kNsmPostDecluster, JoinStrategy::kNsmPostJive}) {
     qspec.strategy = s;
-    QueryRun run = P4Engine().Execute(w, qspec);
+    QueryRun run = RunOk(w, qspec);
     EXPECT_EQ(run.checksum, expected) << project::JoinStrategyName(s);
     EXPECT_EQ(run.result_cardinality, w.expected_result_size)
         << project::JoinStrategyName(s);
@@ -129,14 +143,14 @@ TEST(PipelineTest, HardCaseUsesRadixMachineryAndStaysCorrect) {
   // run must carry it verbatim.
   engine::PreparedQuery q = P4Engine().Prepare(w, planned);
   EXPECT_EQ(q.Explain().plan_code, "c/d");
-  QueryRun run = q.Execute();
+  QueryRun run = RunOk(q);
   EXPECT_EQ(run.detail, "c/d");
 
   engine::QuerySpec unsorted = planned;
   unsorted.plan_sides = false;
   unsorted.left = project::SideStrategy::kUnsorted;
   unsorted.right = project::SideStrategy::kUnsorted;
-  QueryRun ref = P4Engine().Execute(w, unsorted);
+  QueryRun ref = RunOk(w, unsorted);
   EXPECT_EQ(run.checksum, ref.checksum);
 }
 
@@ -182,7 +196,7 @@ TEST(PipelineTest, ProjectionDominatesAtHighProjectivity) {
   engine::QuerySpec qspec;
   qspec.pi_left = 32;
   qspec.pi_right = 32;
-  QueryRun run = P4Engine().Execute(w, qspec);
+  QueryRun run = RunOk(w, qspec);
   double projection = run.phases.cluster_seconds +
                       run.phases.projection_seconds +
                       run.phases.decluster_seconds;
@@ -208,7 +222,7 @@ TEST(PipelineTest, ZeroMatchesProduceEmptyResultEverywhere) {
        {JoinStrategy::kDsmPostDecluster, JoinStrategy::kNsmPreHash,
         JoinStrategy::kNsmPostJive}) {
     qspec.strategy = s;
-    QueryRun run = P4Engine().Execute(w, qspec);
+    QueryRun run = RunOk(w, qspec);
     EXPECT_EQ(run.result_cardinality, 0u) << project::JoinStrategyName(s);
   }
 }

@@ -324,7 +324,6 @@ TEST(JoinIndexTest, SideExtraction) {
   JoinIndex ji;
   ji.Append(1, 9);
   ji.Append(2, 8);
-  EXPECT_EQ(ji.LeftOids(), (std::vector<oid_t>{1, 2}));
   EXPECT_EQ(ji.RightOids(), (std::vector<oid_t>{9, 8}));
 }
 

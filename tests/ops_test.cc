@@ -142,7 +142,7 @@ TEST(OpsProperty, ExecutorMatchesScalarReferenceAcrossShapesSeedsThreads) {
           << "shape " << shape;
       PhysicalPlan physical;
       ASSERT_TRUE(Optimize(catalog, plan, P4(),
-                           costmodel::CpuCosts::Default(), 1, &physical)
+                           costmodel::CpuCosts::Default(), &physical)
                       .ok())
           << "shape " << shape;
       for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
@@ -189,7 +189,7 @@ TEST(OpsProperty, SelectThatEliminatesEverythingStillAgrees) {
     ASSERT_TRUE(ReferenceExecute(catalog, *plan, &expect).ok());
     PhysicalPlan physical;
     ASSERT_TRUE(Optimize(catalog, *plan, P4(),
-                         costmodel::CpuCosts::Default(), 1, &physical)
+                         costmodel::CpuCosts::Default(), &physical)
                     .ok());
     ExecOptions options;
     options.hw = &P4();
@@ -291,7 +291,8 @@ TEST(OpsEngine, TwoSidedPlanMatchesLegacyQuerySpecBitForBit) {
     spec.pi_varchar_left = c.pi_vl;
     spec.pi_varchar_right = c.pi_vr;
     engine::PreparedQuery legacy = eng.Prepare(w, spec);
-    project::QueryRun legacy_run = legacy.Execute();
+    project::QueryRun legacy_run;
+    ASSERT_TRUE(legacy.Execute(&legacy_run).ok());
 
     LogicalPlan plan = TwoSidedPlan(c.pi_l, c.pi_r, c.pi_vl, c.pi_vr);
     engine::PreparedPlan prepared;
@@ -307,6 +308,50 @@ TEST(OpsEngine, TwoSidedPlanMatchesLegacyQuerySpecBitForBit) {
     EXPECT_EQ(run.checksum, legacy_run.checksum)
         << "pi=" << c.pi_l << "/" << c.pi_r << " vl=" << c.pi_vl
         << " vr=" << c.pi_vr;
+  }
+}
+
+TEST(OpsEngine, OneJoinTreeAndTwoSidedSpecShareTheCostModel) {
+  // The DSM-post phase costs have one definition (project::DsmPostCost):
+  // a one-join tree and the two-sided spec with the same sides, pi 1/1,
+  // materializing and equal estimated rows must model identical join,
+  // cluster, projection and decluster costs — on an easy (u/u) and a hard
+  // (c/d) P4 join alike.
+  engine::EngineConfig cfg;
+  cfg.hierarchy = P4();
+  engine::Engine eng(cfg);
+  for (size_t n : {size_t{1} << 12, size_t{1} << 18}) {
+    workload::JoinWorkloadSpec ws;
+    ws.cardinality = n;
+    ws.num_attrs = 2;
+    ws.seed = 13;
+    ws.build_nsm = false;
+    workload::JoinWorkload w = workload::MakeJoinWorkload(ws);
+    Catalog catalog = CatalogFromJoinWorkload(w);
+
+    engine::QuerySpec spec;
+    spec.chunking = engine::ChunkingPolicy::kMaterialize;
+    const engine::Explanation two_sided = eng.Prepare(w, spec).Explain();
+
+    LogicalPlan plan = TwoSidedPlan(1, 1, 0, 0);
+    PhysicalPlan physical;
+    ASSERT_TRUE(Optimize(catalog, plan, P4(), eng.cpu_costs(), &physical)
+                    .ok());
+    ASSERT_EQ(physical.edges.size(), 1u);
+    ASSERT_EQ(physical.est_result_rows, two_sided.estimated_result_rows);
+    ASSERT_EQ(physical.edges[0].code, two_sided.plan_code) << "n=" << n;
+    ASSERT_FALSE(two_sided.streaming);
+    auto same = [&](const costmodel::CostEstimate& a,
+                    const costmodel::CostEstimate& b, const char* phase) {
+      EXPECT_EQ(a.misses.l1, b.misses.l1) << phase << " n=" << n;
+      EXPECT_EQ(a.misses.l2, b.misses.l2) << phase << " n=" << n;
+      EXPECT_EQ(a.misses.tlb, b.misses.tlb) << phase << " n=" << n;
+      EXPECT_EQ(a.seconds, b.seconds) << phase << " n=" << n;
+    };
+    same(physical.join_cost, two_sided.join_cost, "join");
+    same(physical.cluster_cost, two_sided.cluster_cost, "cluster");
+    same(physical.projection_cost, two_sided.projection_cost, "projection");
+    same(physical.decluster_cost, two_sided.decluster_cost, "decluster");
   }
 }
 

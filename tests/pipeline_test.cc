@@ -294,7 +294,8 @@ TEST(PipelineStreaming, PeakIntermediateBytesBoundedByChunkNotByN) {
     popts.left = project::SideStrategy::kClustered;
     popts.right = project::SideStrategy::kDecluster;
     popts.right_bits = kRightBits;
-    popts.num_threads = threads;
+    ThreadPool pool(threads);
+    popts.pool = &pool;
     gauge.ResetPeak();
     size_t before = gauge.current_bytes();
     storage::DsmResult streamed = project::DsmPostProjectStreaming(
@@ -337,10 +338,11 @@ TEST(PipelineStreaming, PeakIntermediateBytesBoundedByChunkNotByN) {
 TEST(PipelineStreaming, OverlapAwarePhasesStayWithinWallClock) {
   auto hw = hardware::MemoryHierarchy::Pentium4();
   workload::JoinWorkload w = SmallWorkload(60000, 4, 23);
+  ThreadPool pool(4);
   project::QueryOptions opts;
   opts.pi_left = 3;
   opts.pi_right = 3;
-  opts.num_threads = 4;
+  opts.pool = &pool;
   opts.chunk_rows = 2048;
 
   project::QueryRun streamed = project::RunQueryStreaming(

@@ -104,7 +104,7 @@ INSTANTIATE_TEST_SUITE_P(
                       SideCombo{SideStrategy::kUnsorted, SideStrategy::kDecluster}));
 
 TEST(ExecutorThreadsTest, NumThreadsProducesIdenticalQueryResults) {
-  // The num_threads knob must not change what is computed: the parallel
+  // The pool size must not change what is computed: the parallel
   // cluster/decluster kernels are byte-identical to serial, so cardinality,
   // checksum and the planned strategy code all match the serial run.
   auto hw = P4();
@@ -116,8 +116,9 @@ TEST(ExecutorThreadsTest, NumThreadsProducesIdenticalQueryResults) {
     serial.plan_sides = plan;
     QueryRun ref = RunQuery(w, JoinStrategy::kDsmPostDecluster, serial, hw);
     for (size_t threads : {2u, 4u, 8u}) {
+      ThreadPool pool(threads);
       QueryOptions par = serial;
-      par.num_threads = threads;
+      par.pool = &pool;
       QueryRun run = RunQuery(w, JoinStrategy::kDsmPostDecluster, par, hw);
       EXPECT_EQ(run.result_cardinality, ref.result_cardinality);
       EXPECT_EQ(run.checksum, ref.checksum)
@@ -489,28 +490,28 @@ TEST(ExecutorTest, AsymmetricProjectivity) {
 TEST(PlannerTest, EasyJoinUsesUnsorted) {
   auto hw = P4();
   // 64K tuples of 4B = 256KB < 512KB cache: easy.
-  Plan plan = PlanDsmPost(1 << 16, 1 << 16, 1 << 16, 4, 4, hw);
+  Plan plan = PlanDsmPost(1 << 16, 1 << 16, 4, hw);
   EXPECT_TRUE(plan.easy);
   EXPECT_EQ(plan.code, "u/u");
 }
 
 TEST(PlannerTest, HardJoinLowPiUsesClusterDecluster) {
   auto hw = P4();
-  Plan plan = PlanDsmPost(8 << 20, 8 << 20, 8 << 20, 4, 4, hw);
+  Plan plan = PlanDsmPost(8 << 20, 8 << 20, 4, hw);
   EXPECT_FALSE(plan.easy);
   EXPECT_EQ(plan.code, "c/d");
 }
 
 TEST(PlannerTest, HighPiSwitchesToSort) {
   auto hw = P4();
-  Plan plan = PlanDsmPost(8 << 20, 8 << 20, 8 << 20, 64, 64, hw);
+  Plan plan = PlanDsmPost(8 << 20, 8 << 20, 64, hw);
   EXPECT_EQ(plan.code, "s/d");
 }
 
 TEST(PlannerTest, MixedCardinalities) {
   auto hw = P4();
   // Left huge, right tiny: reorder left, unsorted right.
-  Plan plan = PlanDsmPost(8 << 20, 1 << 14, 1 << 14, 4, 4, hw);
+  Plan plan = PlanDsmPost(8 << 20, 1 << 14, 4, hw);
   EXPECT_EQ(plan.code, "c/u");
 }
 

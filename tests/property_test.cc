@@ -316,9 +316,10 @@ TEST(StreamingProperty, StreamingMatchesMaterializingAcrossStrategies) {
       project::QueryRun ref = project::RunQuery(
           w, project::JoinStrategy::kDsmPostDecluster, opts, hw);
       for (size_t threads : {1u, 2u, 4u}) {
+        ThreadPool pool(threads);
+        opts.pool = &pool;
         for (size_t chunk_rows :
              {size_t{977}, size_t{8192}, spec.cardinality * 2}) {
-          opts.num_threads = threads;
           opts.chunk_rows = chunk_rows;
           project::QueryRun streamed = project::RunQueryStreaming(
               w, project::JoinStrategy::kDsmPostDecluster, opts, hw);
@@ -355,7 +356,8 @@ TEST(StreamingProperty, ChunkRowsOneEdgeCase) {
     project::QueryRun ref = project::RunQuery(
         w, project::JoinStrategy::kDsmPostDecluster, opts, hw);
     for (size_t threads : {1u, 4u}) {
-      opts.num_threads = threads;
+      ThreadPool pool(threads);
+      opts.pool = &pool;
       opts.chunk_rows = 1;
       project::QueryRun streamed = project::RunQueryStreaming(
           w, project::JoinStrategy::kDsmPostDecluster, opts, hw);

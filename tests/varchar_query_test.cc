@@ -14,6 +14,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "engine/engine.h"
 #include "join/partitioned_hash_join.h"
 #include "project/checksum.h"
@@ -129,8 +130,9 @@ TEST_P(VarcharStrategySweep, AllStrategiesMatchScalarReference) {
   // with the parallel fixed kernels) and the streaming entry point (which
   // must fall back to materializing for varchar and still agree).
   for (size_t threads : {2u, 4u}) {
+    ThreadPool pool(threads);
     project::QueryOptions topt = opt;
-    topt.num_threads = threads;
+    topt.pool = &pool;
     project::QueryRun run =
         project::RunQuery(w, JoinStrategy::kDsmPostDecluster, topt, hw);
     EXPECT_EQ(run.checksum, expected) << "threads=" << threads;
