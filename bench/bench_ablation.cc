@@ -5,9 +5,9 @@
 //  4. paged (Section 5, three-phase) vs flat Radix-Decluster overhead;
 //  5. serial vs parallel Radix-Cluster / Radix-Decluster (the threads=1
 //     row IS the serial kernel; output is byte-identical by contract);
-//  6. materializing vs streaming (pipeline/) post-projection at the
-//     paper's 8M-tuple scale: same checksum, chunk-bounded intermediates,
-//     overlapped gather/decluster phases;
+//  6. materializing vs streaming post-projection at the paper's 8M-tuple
+//     scale: same checksum, no value intermediate when streamed (the
+//     gather fused into the decluster merge);
 //  7. scalar vs runtime-dispatched SIMD variants of the hot kernels
 //     (radix_count histogram+prefix, positional gather, clustering
 //     scatter), with byte-identity checksums CI can compare.
@@ -284,8 +284,8 @@ BENCHMARK(BM_ParallelDecluster)
 // The Fig. 10/11 DSM post-projection query at paper scale (8M tuples),
 // executed materializing (RunQuery) vs streamed (RunQueryStreaming with a
 // cache-sized chunk). Checksums must agree; the streaming row additionally
-// reports peak intermediate bytes (MemoryGauge) and the overlapped
-// pipeline's wall share.
+// reports peak intermediate bytes (MemoryGauge; 0 when streamed) and the
+// streamed sections' wall time.
 const workload::JoinWorkload& AblationQueryWorkload() {
   static const workload::JoinWorkload w = [] {
     workload::JoinWorkloadSpec spec;

@@ -22,6 +22,8 @@ using project::JoinStrategy;
 using project::SideStrategy;
 
 constexpr size_t kPi = 4;
+/// RADIX_BENCH_QUICK=1 caps N here.
+constexpr size_t kQuickCap = 4'000'000;
 
 workload::JoinWorkload MakeW(size_t n) {
   workload::JoinWorkloadSpec spec;
@@ -36,7 +38,7 @@ workload::JoinWorkload MakeW(size_t n) {
 /// side codes by cardinality.
 void BM_DsmPostPlanned(benchmark::State& state) {
   size_t n = radix::bench::ScaledN(static_cast<size_t>(state.range(0)),
-                                   4'000'000);
+                                   kQuickCap);
   workload::JoinWorkload w = MakeW(n);
   engine::QuerySpec spec;
   spec.pi_left = kPi;
@@ -56,7 +58,7 @@ void BM_DsmPostPlanned(benchmark::State& state) {
 void RunForced(benchmark::State& state, SideStrategy left,
                SideStrategy right) {
   size_t n = radix::bench::ScaledN(static_cast<size_t>(state.range(0)),
-                                   4'000'000);
+                                   kQuickCap);
   workload::JoinWorkload w = MakeW(n);
   engine::QuerySpec spec;
   spec.pi_left = kPi;
@@ -91,7 +93,7 @@ void BM_DsmPost_sd(benchmark::State& s) {
 /// once columns outgrow the cache.
 void BM_DsmPostPlannedVarchar(benchmark::State& state) {
   size_t n = radix::bench::ScaledN(static_cast<size_t>(state.range(0)),
-                                   4'000'000);
+                                   kQuickCap);
   workload::JoinWorkloadSpec wspec;
   wspec.cardinality = n;
   wspec.num_attrs = kPi + 1;
@@ -122,8 +124,15 @@ void BM_DsmPostPlannedVarchar(benchmark::State& state) {
 }
 
 void Args(benchmark::internal::Benchmark* b) {
+  // Quick mode caps N, so skip an arg whose capped N repeats the previous
+  // row's: 16M would rerun the 4M row. Full runs keep every row.
+  size_t last_n = 0;
   for (int64_t n : {15'625, 62'500, 250'000, 1'000'000, 4'000'000,
                     16'000'000}) {
+    const size_t capped =
+        radix::bench::ScaledN(static_cast<size_t>(n), kQuickCap);
+    if (capped == last_n) continue;
+    last_n = capped;
     b->Args({n});
   }
   b->Unit(benchmark::kMillisecond)->Iterations(1);

@@ -71,7 +71,7 @@ LAYER_DEPS = {
     "costmodel": {"common", "hardware", "cluster"},
     "join": {"cluster"},
     "decluster": {"cluster", "bufferpool"},
-    "pipeline": {"join", "decluster"},
+    "pipeline": {"storage"},
     "project": {"costmodel", "decluster", "join", "pipeline", "workload"},
     "ops": {"project", "pipeline"},
     "engine": {"project", "ops"},

@@ -101,21 +101,6 @@ void ThreadPool::Submit(Priority priority, std::function<void()> task) {
   }
 }
 
-bool ThreadPool::TryRunOneTask() {
-  Task task;
-  {
-    MutexLock lock(mu_);
-    if (!PopTaskLocked(&task)) return false;
-  }
-  RunTask(task);
-  {
-    MutexLock lock(mu_);
-    --in_flight_;
-    idle_cv_.NotifyAll();
-  }
-  return true;
-}
-
 void ThreadPool::Wait() {
   if (workers_.empty()) return;
   MutexLock lock(mu_);

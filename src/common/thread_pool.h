@@ -31,8 +31,8 @@ namespace radix {
 /// parallel kernels bit-identical against it.
 ///
 /// Concurrency contract (the morsel scheduler underneath engine::Engine):
-///  * Submit / ParallelFor / TryRunOneTask may be called from any number of
-///    threads concurrently.
+///  * Submit / ParallelFor may be called from any number of threads
+///    concurrently.
 ///  * ParallelFor is a per-call completion group: it returns when *its own*
 ///    n bodies finished, regardless of what other callers queued — under
 ///    concurrent queries the old pool-wide Wait() could block forever.
@@ -79,13 +79,6 @@ class ThreadPool {
   /// Pool-wide; prefer ParallelFor's built-in per-call completion under
   /// concurrent queries.
   void Wait() RADIX_EXCLUDES(mu_);
-
-  /// Pop and run one queued task (highest priority first) on the calling
-  /// thread, if any; returns whether a task ran. Lets a coordinator thread
-  /// that is otherwise blocked waiting on Submit-driven work (e.g. the
-  /// streaming executor's ring) contribute instead of idling, so all
-  /// num_threads participate.
-  bool TryRunOneTask() RADIX_EXCLUDES(mu_);
 
   /// Run body(i) for every i in [0, n). Work items are claimed dynamically
   /// off a shared counter (a work queue over indices), so uneven item costs

@@ -208,36 +208,39 @@ CostEstimate VarcharRadixDeclusterCost(const hardware::MemoryHierarchy& hw,
   return est;
 }
 
-CostEstimate StreamingRadixDeclusterCost(const hardware::MemoryHierarchy& hw,
-                                         const CpuCosts& cpu, size_t tuples,
-                                         size_t width, radix_bits_t bits,
-                                         size_t window_elems,
-                                         size_t chunk_rows) {
-  // Scheduling cost of one chunk through the executor ring (task hand-off
-  // and completion signalling); roughly the thread pool's per-task cost.
-  constexpr double kChunkOverheadSeconds = 3e-6;
-  CostEstimate est =
-      RadixDeclusterCost(hw, cpu, tuples, width, bits, window_elems);
-  if (chunk_rows == 0 || chunk_rows >= tuples) {
-    est.seconds += kChunkOverheadSeconds;
-    return est;
-  }
-  double clusters = Pow2(bits);
-  double chunks = std::ceil(static_cast<double>(tuples) /
-                            static_cast<double>(chunk_rows));
-  double clusters_per_chunk = std::max(1.0, clusters / chunks);
-  // Per-chunk traversals on top of the shared memory cost: every chunk
-  // sweeps its (cache-resident) cursor slice once more for setup and
-  // min-tracking, and pays one ring hand-off. This is what makes
-  // chunk_rows = 1 visibly expensive in the model, exactly as it is in the
-  // executor (one task per cluster).
-  Region borders_slice = {clusters_per_chunk, 2.0 * sizeof(uint64_t)};
-  MissVector extra = RsTrav({&hw, 1.0}, 1.0, borders_slice) * chunks;
-  est.misses += extra;
-  est.seconds += MissesToSeconds(hw, extra, /*cpu_seconds=*/0.0) +
-                 kChunkOverheadSeconds * chunks +
-                 1e-9 * clusters_per_chunk * chunks;  // cursor-slice setup
-  return est;
+CostEstimate RadixDeclusterGatherCost(const hardware::MemoryHierarchy& hw,
+                                      const CpuCosts& cpu, size_t tuples,
+                                      size_t column_tuples, size_t width,
+                                      radix_bits_t bits, size_t range_rows) {
+  const double n = static_cast<double>(std::max<size_t>(1, tuples));
+  const double clusters = Pow2(bits);
+  // The kernel's range: never fewer rows than clusters, at most the result.
+  const double range =
+      std::clamp(static_cast<double>(range_rows), clusters, n);
+  const double ranges = std::ceil(n / range);
+  const double per_range = n / ranges;
+  Region ids_slice = {per_range, static_cast<double>(sizeof(oid_t))};
+  Region pos_slice = {per_range, static_cast<double>(sizeof(oid_t))};
+  Region sub_column = {static_cast<double>(column_tuples) / clusters,
+                       static_cast<double>(width)};
+  Region window = {per_range, static_cast<double>(width)};
+  // As in RadixDeclusterCost, the sequential streams keep only a line or
+  // two per cluster resident, so the range and the column region the
+  // current segment reads own the cache.
+  PatternContext ctx{&hw, 1.0};
+  MissVector per_range_misses =
+      STrav(ctx, ids_slice) + STrav(ctx, pos_slice) +
+      RAcc(ctx, per_range / clusters, sub_column) * clusters +
+      RrTrav(ctx, clusters, window, clusters * width);
+  MissVector total = per_range_misses * ranges;
+  // Seeks: one binary search per cluster and range over the cluster's
+  // positions (cache-resident comparisons).
+  const double seek_steps =
+      clusters * ranges * std::log2(std::max(2.0, n / clusters));
+  const double cpu_s =
+      (cpu.pos_join_ns_per_tuple + cpu.decluster_ns_per_tuple) * 1e-9 * n +
+      1e-9 * seek_steps;
+  return Finish(hw, total, cpu_s);
 }
 
 CostEstimate LeftJiveJoinCost(const hardware::MemoryHierarchy& hw,

@@ -82,20 +82,26 @@ CostEstimate VarcharRadixDeclusterCost(const hardware::MemoryHierarchy& hw,
                                        size_t avg_len, radix_bits_t bits,
                                        size_t window_elems);
 
-/// Streamed (chunked) Radix-Decluster — the pipeline/ execution of the same
-/// merge. The per-tuple traversals are unchanged (every value/id is still
-/// read sequentially once, every result slot written once into a
-/// cache-resident window), so the memory cost equals RadixDeclusterCost;
-/// what chunking adds is charged per chunk: one sweep of the chunk's
-/// cursor slice (the sparse merge's setup + min-tracking pass) and the
-/// task hand-off through the executor ring. With chunk_rows >= N this is
-/// RadixDeclusterCost plus a single task's overhead — one formula predicts
-/// both variants, which is what lets the planner reason about streaming.
-CostEstimate StreamingRadixDeclusterCost(const hardware::MemoryHierarchy& hw,
-                                         const CpuCosts& cpu, size_t tuples,
-                                         size_t width, radix_bits_t bits,
-                                         size_t window_elems,
-                                         size_t chunk_rows);
+/// Radix-Decluster fused with its Positional-Join
+/// (decluster::RadixDeclusterGather, the streamed decluster side) for one
+/// column: `tuples` result rows cut into ranges of `range_rows` (at least
+/// one row per cluster, at most all of them), fetching from a column of
+/// `column_tuples` x `width` bytes through 2^bits clusters. Per range:
+///   s_trav(ids slice) ⊕ s_trav(positions slice)
+///   ⊕ 2^B x r_acc(segment, column / 2^B)   (each cluster's segment)
+///   ⊕ rr_trav(2^B, range)                   (writes inside the range)
+/// plus a binary-search seek per cluster and range. No value buffer is
+/// written or read back, so at range_rows >= tuples this is about the
+/// materializing gather + RadixDeclusterCost with the window set to the
+/// whole result, minus that buffer's two traversals. While the range's
+/// writes stay resident at the same cache levels the cost falls as the
+/// range grows — smaller ranges cut each cluster's column region into
+/// colder segments and pay more seeks — and each level the range outgrows
+/// is a cliff, as for the insertion window.
+CostEstimate RadixDeclusterGatherCost(const hardware::MemoryHierarchy& hw,
+                                      const CpuCosts& cpu, size_t tuples,
+                                      size_t column_tuples, size_t width,
+                                      radix_bits_t bits, size_t range_rows);
 
 /// Left Jive-Join: merge of the (sorted) join index with the left input
 /// (both s_trav) fanning out into 2^B clusters (nest) for both outputs.

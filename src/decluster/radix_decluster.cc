@@ -13,20 +13,6 @@ std::vector<ClusterCursor> MakeCursors(
   return cursors;
 }
 
-std::vector<ClusterCursor> MakeCursorsForRange(
-    const cluster::ClusterBorders& borders, size_t cluster_begin,
-    size_t cluster_end) {
-  RADIX_CHECK(cluster_begin <= cluster_end);
-  RADIX_CHECK(cluster_end <= borders.num_clusters());
-  std::vector<ClusterCursor> cursors;
-  cursors.reserve(cluster_end - cluster_begin);
-  for (size_t k = cluster_begin; k < cluster_end; ++k) {
-    if (borders.size(k) == 0) continue;
-    cursors.push_back({borders.start(k), borders.end(k)});
-  }
-  return cursors;
-}
-
 void AssertDeclusterPreconditions(std::span<const oid_t> ids,
                                   const std::vector<ClusterCursor>& clusters,
                                   size_t result_size) {
@@ -64,5 +50,9 @@ template void RadixDeclusterParallel<value_t>(
     std::span<const value_t>, std::span<const oid_t>,
     const std::vector<ClusterCursor>&, size_t, std::span<value_t>,
     ThreadPool&);
+template void RadixDeclusterGather<value_t>(
+    const std::vector<std::span<const value_t>>&, std::span<const oid_t>,
+    std::span<const oid_t>, const std::vector<ClusterCursor>&, size_t,
+    const std::vector<std::span<value_t>>&, ThreadPool*, double*);
 
 }  // namespace radix::decluster

@@ -2,6 +2,7 @@
 #define RADIX_DECLUSTER_RADIX_DECLUSTER_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <span>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "cluster/radix_cluster.h"
 #include "common/macros.h"
 #include "common/thread_pool.h"
+#include "common/timer.h"
 #include "common/types.h"
 #include "simcache/mem_tracer.h"
 
@@ -24,13 +26,6 @@ struct ClusterCursor {
 /// Build the cursor array from cluster borders (dropping empty clusters,
 /// which the merge loop would otherwise delete on first touch).
 std::vector<ClusterCursor> MakeCursors(const cluster::ClusterBorders& borders);
-
-/// Cursors for clusters [cluster_begin, cluster_end) only — one chunk of a
-/// streamed decluster (pipeline/). Empty clusters are dropped as in
-/// MakeCursors.
-std::vector<ClusterCursor> MakeCursorsForRange(
-    const cluster::ClusterBorders& borders, size_t cluster_begin,
-    size_t cluster_end);
 
 /// Debug-build verification of the §3.2 preconditions the window merge
 /// relies on: within every cluster the ids ascend strictly, and across all
@@ -80,47 +75,24 @@ void DeclusterMergeRange(const T* v, const oid_t* id, ClusterCursor* cl,
   }
 }
 
-/// Window merge over a *subset* of the clusters — one chunk of a streamed
-/// decluster. Unlike DeclusterMergeRange, the chunk's ids are not dense in
-/// the result (each window typically holds only a 1/#chunks fraction of
-/// this chunk's tuples), so a fixed-step window advance would sweep the
-/// cursor array once per window even when the window has nothing to drain.
-/// Instead, after each sweep the limit jumps straight to the window holding
-/// the smallest id still unconsumed, keeping the merge O(tuples +
-/// touched_windows * chunk_clusters). Values are chunk-local:
-/// v[pos - v_off] is the payload of global clustered position pos.
-template <typename T>
-void DeclusterMergeSparse(const T* v, uint64_t v_off, const oid_t* id,
-                          ClusterCursor* cl, size_t nclusters,
-                          size_t window_elems, T* out) {
-  if (nclusters == 0) return;
-  uint64_t min_id = id[cl[0].start];
-  for (size_t i = 1; i < nclusters; ++i) {
-    min_id = std::min<uint64_t>(min_id, id[cl[i].start]);
-  }
-  uint64_t window_limit = (min_id / window_elems + 1) * window_elems;
-  while (nclusters > 0) {
-    uint64_t min_next = ~uint64_t{0};
-    for (size_t i = 0; i < nclusters; ++i) {
-      while (true) {
-        uint64_t pos = cl[i].start;
-        if (id[pos] >= window_limit) {
-          min_next = std::min<uint64_t>(min_next, id[pos]);
-          break;
-        }
-        out[id[pos]] = v[pos - v_off];
-        if (++cl[i].start >= cl[i].end) {
-          // Swap-delete exactly as in Fig. 6; keep draining the cluster
-          // swapped into slot i (its already-recorded min_next stays valid).
-          cl[i] = cl[--nclusters];
-          if (i >= nclusters) break;
-        }
-      }
-      if (i >= nclusters) break;
-    }
-    if (nclusters == 0) break;
-    window_limit = (min_next / window_elems + 1) * window_elems;
-  }
+/// The part of cluster `c` whose ids fall in the result range
+/// [range_begin, range_end) of a result of `n` rows: two binary searches,
+/// since ids ascend within a cluster (§3.2 property (2)). start == end when
+/// the cluster has no id in the range.
+inline ClusterCursor SeekRange(const oid_t* id, const ClusterCursor& c,
+                               uint64_t range_begin, uint64_t range_end,
+                               uint64_t n) {
+  const oid_t* lo = id + c.start;
+  const oid_t* hi = id + c.end;
+  const oid_t* first =
+      range_begin == 0
+          ? lo
+          : std::lower_bound(lo, hi, static_cast<oid_t>(range_begin));
+  const oid_t* last =
+      range_end >= n
+          ? hi
+          : std::lower_bound(first, hi, static_cast<oid_t>(range_end));
+  return {static_cast<uint64_t>(first - id), static_cast<uint64_t>(last - id)};
 }
 
 }  // namespace detail
@@ -208,20 +180,8 @@ void RadixDeclusterParallel(std::span<const T> values,
     std::vector<ClusterCursor> local;
     local.reserve(clusters.size());
     for (const ClusterCursor& c : clusters) {
-      const oid_t* lo = id + c.start;
-      const oid_t* hi = id + c.end;
-      const oid_t* first =
-          range_begin == 0 ? lo
-                           : std::lower_bound(lo, hi,
-                                              static_cast<oid_t>(range_begin));
-      const oid_t* last =
-          range_end >= n ? hi
-                         : std::lower_bound(first, hi,
-                                            static_cast<oid_t>(range_end));
-      if (first != last) {
-        local.push_back({static_cast<uint64_t>(first - id),
-                         static_cast<uint64_t>(last - id)});
-      }
+      ClusterCursor seg = detail::SeekRange(id, c, range_begin, range_end, n);
+      if (seg.start != seg.end) local.push_back(seg);
     }
     simcache::NoTracer* tracer = nullptr;
     detail::DeclusterMergeRange(values.data(), id, local.data(), local.size(),
@@ -231,46 +191,69 @@ void RadixDeclusterParallel(std::span<const T> values,
   });
 }
 
-/// Radix-Decluster one chunk of a streamed projection (the sink stage of
-/// pipeline/): `chunk_values` holds the payloads for global clustered
-/// positions [value_offset, value_offset + chunk rows); `ids` is the full
-/// clustered result-position column; `clusters` are the cursors of this
-/// chunk's cluster range only (MakeCursorsForRange). Writes exactly the
-/// result slots this chunk's ids name — cluster-aligned chunks partition
-/// the clustered array, so concurrent calls on distinct chunks touch
-/// disjoint slots of `result`, and the union over all chunks is
-/// byte-identical to one full RadixDecluster.
-/// `validate` lets a caller that merges the same chunk once per projected
-/// column run the (debug-build) precondition sweep only on the first merge
-/// instead of pi times.
+/// Radix-Decluster fused with the Positional-Join that feeds it — the
+/// streamed decluster side, which keeps no clustered value buffer:
+/// outs[a][positions[p]] = columns[a][ids[p]] for every clustered index p.
+/// `ids` are the column oids in clustered order, `positions` each one's
+/// result row, `clusters` their cursors (MakeCursors); within a cluster the
+/// positions ascend (§3.2 property (2)).
+///
+/// The result is cut into ranges of `range_rows` rows, never fewer rows
+/// than there are clusters so the per-range seeks stay amortized. Each
+/// column runs one ParallelFor whose grains are the ranges: a grain seeks
+/// every cluster's segment of positions inside its range (SeekRange, as
+/// RadixDeclusterParallel does) and drains the segments in turn. That is
+/// Fig. 6's merge with the window set to the range — all writes land in
+/// one cache-sized range — and each value is fetched through its clustered
+/// id at the moment the merge consumes it. Every result slot is written
+/// once with the value the serial two-phase gather + RadixDecluster writes,
+/// so the output is byte-identical to it on any pool; a null or size-1 pool
+/// runs the ranges in order on the calling thread. `busy_seconds`, when
+/// non-null, accumulates the grains' summed run time (thread-seconds).
 template <typename T>
-void RadixDeclusterChunk(const T* chunk_values, uint64_t value_offset,
-                         std::span<const oid_t> ids,
-                         std::vector<ClusterCursor> clusters,
-                         size_t window_elems, std::span<T> result,
-                         bool validate = true) {
-  RADIX_CHECK(window_elems > 0);
+void RadixDeclusterGather(const std::vector<std::span<const T>>& columns,
+                          std::span<const oid_t> ids,
+                          std::span<const oid_t> positions,
+                          const std::vector<ClusterCursor>& clusters,
+                          size_t range_rows,
+                          const std::vector<std::span<T>>& outs,
+                          ThreadPool* pool, double* busy_seconds = nullptr) {
+  RADIX_CHECK(columns.size() == outs.size());
+  RADIX_CHECK(ids.size() == positions.size());
+  RADIX_CHECK(range_rows > 0);
+  const size_t n = positions.size();
+  for (const std::span<T>& out : outs) RADIX_CHECK(out.size() == n);
 #ifndef NDEBUG
-  // Chunk-scoped §3.2 preconditions: strict ascent within each cluster and
-  // ids addressing the result. (Density and cross-chunk disjointness are
-  // whole-pipeline properties; the streaming-vs-materializing equality
-  // tests cover them.)
-  if (validate) {
-    for (const ClusterCursor& c : clusters) {
-      RADIX_CHECK(c.start < c.end);
-      RADIX_CHECK(c.start >= value_offset && c.end <= ids.size());
-      for (uint64_t p = c.start; p < c.end; ++p) {
-        RADIX_CHECK(ids[p] < result.size());
-        RADIX_CHECK(p + 1 == c.end || ids[p] < ids[p + 1]);
+  AssertDeclusterPreconditions(positions, clusters, n);
+#endif
+  const size_t range = std::max(range_rows, clusters.size());
+  const size_t ranges = (n + range - 1) / range;
+  const oid_t* id = ids.data();
+  const oid_t* pos = positions.data();
+  std::atomic<uint64_t> busy_nanos{0};
+  pool = KernelPool(pool);
+  for (size_t a = 0; a < columns.size(); ++a) {
+    const T* column = columns[a].data();
+    T* out = outs[a].data();
+    auto drain = [&](size_t r) {
+      Timer timer;
+      const uint64_t begin = uint64_t{r} * range;
+      const uint64_t end = std::min<uint64_t>(n, begin + range);
+      for (const ClusterCursor& c : clusters) {
+        const ClusterCursor seg = detail::SeekRange(pos, c, begin, end, n);
+        for (uint64_t p = seg.start; p < seg.end; ++p) {
+          out[pos[p]] = column[id[p]];
+        }
       }
+      busy_nanos.fetch_add(timer.ElapsedNanos(), std::memory_order_relaxed);
+    };
+    if (pool == nullptr) {
+      for (size_t r = 0; r < ranges; ++r) drain(r);
+    } else {
+      pool->ParallelFor(ranges, drain);
     }
   }
-#else
-  (void)validate;
-#endif
-  detail::DeclusterMergeSparse(chunk_values, value_offset, ids.data(),
-                               clusters.data(), clusters.size(), window_elems,
-                               result.data());
+  if (busy_seconds != nullptr) *busy_seconds += 1e-9 * busy_nanos.load();
 }
 
 /// Byte-oriented Radix-Decluster for fixed-width rows of `row_bytes` each

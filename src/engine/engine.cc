@@ -211,7 +211,7 @@ PreparedQuery Engine::Prepare(const workload::JoinWorkload& workload,
         ex.decluster_bits = right.spec.total_bits;
         ex.decluster_passes = right.spec.passes;
         ex.window_elems = right.window_elems;
-        PlanExecutionMode(spec, policy, n_index, right.spec.total_bits, &ex);
+        PlanExecutionMode(spec, policy, n_index, &ex);
         if (ex.varchar_cols > 0 && ex.streaming) {
           // Mirror the executor: varchar projections have no streaming
           // path yet, so the plan must not claim one.
@@ -425,8 +425,7 @@ Status Engine::Execute(const ops::Catalog& catalog,
 }
 
 void Engine::PlanExecutionMode(const QuerySpec& spec, ChunkingPolicy policy,
-                               size_t n_index, radix_bits_t bits,
-                               Explanation* ex) const {
+                               size_t n_index, Explanation* ex) const {
   const size_t materialized_bytes = n_index * sizeof(value_t);
   // `policy` arrives resolved (never kEngineDefault): kAuto streams only
   // when the budget says the materialized intermediate is too large.
@@ -452,38 +451,12 @@ void Engine::PlanExecutionMode(const QuerySpec& spec, ChunkingPolicy policy,
                         ? "policy: stream"
                         : "auto: intermediate exceeds streaming budget";
 
-  // The streamed ring holds (pool threads + 2) chunks when threaded, 1
-  // when serial (ExecutorOptions auto ring), each pi_right columns wide.
-  const size_t ring = pool_ != nullptr ? pool_->num_threads() + 2 : 1;
-  const size_t per_row_bytes =
-      sizeof(value_t) * std::max<size_t>(1, spec.pi_right) * ring;
-  size_t chunk = spec.chunk_rows != 0 ? spec.chunk_rows
-                                      : project::DefaultChunkRows(hw_);
-  if (spec.chunk_rows == 0 && config_.streaming_budget_bytes != 0) {
-    // Shrink the chunk until the in-flight buffers fit the budget — but
-    // stop where StreamingRadixDeclusterCost says the per-chunk overhead
-    // would cliff past 1.5x the materializing prediction. The cost model,
-    // not the entry point, owns the trade-off.
-    const double materializing_seconds =
-        costmodel::RadixDeclusterCost(hw_, config_.cpu_costs, n_index,
-                                      sizeof(value_t), bits,
-                                      ex->window_elems)
-            .seconds;
-    while (chunk > 1 && chunk * per_row_bytes >
-                            config_.streaming_budget_bytes) {
-      double next_seconds =
-          costmodel::StreamingRadixDeclusterCost(
-              hw_, config_.cpu_costs, n_index, sizeof(value_t), bits,
-              ex->window_elems, chunk / 2)
-              .seconds;
-      if (next_seconds > 1.5 * materializing_seconds) break;
-      chunk /= 2;
-    }
-  }
+  // The streamed decluster side fetches each value inside the merge, so it
+  // keeps no value intermediate: the range only sizes the merge's writes.
   ex->streaming = true;
-  ex->chunk_rows = chunk;
-  ex->modeled_intermediate_bytes =
-      std::min(materialized_bytes, chunk * per_row_bytes);
+  ex->chunk_rows = spec.chunk_rows != 0 ? spec.chunk_rows
+                                        : project::DefaultChunkRows(hw_);
+  ex->modeled_intermediate_bytes = 0;
 }
 
 EngineStats Engine::Stats() const {

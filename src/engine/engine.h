@@ -48,12 +48,12 @@ enum class ChunkingPolicy : uint8_t {
   /// Defer to the engine's configured policy (QuerySpec default).
   kEngineDefault,
   /// Planner decides: stream when the materializing path's clustered
-  /// intermediate would exceed EngineConfig::streaming_budget_bytes,
-  /// with the chunk size chosen from StreamingRadixDeclusterCost.
+  /// intermediate would exceed EngineConfig::streaming_budget_bytes.
   kAuto,
   /// Always materialize full intermediates (project::RunQuery).
   kMaterialize,
-  /// Always stream through the pipeline/ subsystem.
+  /// Always stream (project::RunQueryStreaming): row-chunked gathers and
+  /// the fused RadixDeclusterGather, no value intermediate.
   kStream,
 };
 
@@ -83,9 +83,8 @@ struct EngineConfig {
   /// kAuto's memory budget for materialized intermediates (the clustered
   /// value column of the decluster side, N * sizeof(value_t) bytes): when
   /// a query's intermediate would exceed it, the planner streams instead,
-  /// shrinking the chunk size until the in-flight buffers fit (floored
-  /// where StreamingRadixDeclusterCost says the overhead turns into a
-  /// cliff). 0 (default) = unlimited, i.e. kAuto materializes.
+  /// which keeps no value intermediate at all. 0 (default) = unlimited,
+  /// i.e. kAuto materializes.
   size_t streaming_budget_bytes = 0;
 
   /// Concurrent-serving knobs. Execute() is safe to call from any number
@@ -110,8 +109,9 @@ struct EngineConfig {
   /// point-ish queries overtake the queued grains of heavy queries at
   /// grain boundaries instead of waiting behind whole phases.
   size_t point_query_rows_threshold = size_t{1} << 16;
-  /// Gauge the streaming pipelines of this engine's queries register their
-  /// ring-buffer bytes with; nullptr = the process-wide
+  /// Gauge this engine's queries register their value intermediates with
+  /// (the materializing decluster side's clustered value column, the
+  /// operator layer's chunk buffers); nullptr = the process-wide
   /// pipeline::MemoryGauge::Instance(). Inject a private gauge to assert
   /// (as the admission tests do) that measured intermediate bytes never
   /// exceed admission_budget_bytes.
@@ -167,7 +167,9 @@ struct QuerySpec {
   size_t window_elems = 0;
   /// Execution-mode override; kEngineDefault defers to the EngineConfig.
   ChunkingPolicy chunking = ChunkingPolicy::kEngineDefault;
-  /// Streamed chunk size override in rows; 0 = planner-chosen.
+  /// Streamed chunk size override in rows (the row chunks of the ordered
+  /// gathers and the fused decluster's result ranges); 0 = cache-sized
+  /// (project::DefaultChunkRows).
   size_t chunk_rows = 0;
 };
 
@@ -212,7 +214,8 @@ struct Explanation {
   /// EngineConfig::point_query_rows_threshold).
   bool high_priority = false;
   /// Peak bytes of the projection phase's value intermediates under the
-  /// chosen mode (0 when the strategy materializes no side intermediate).
+  /// chosen mode: N * sizeof(value_t) for a materializing decluster side,
+  /// 0 when streamed or when the strategy keeps no side intermediate.
   size_t modeled_intermediate_bytes = 0;
   /// Varchar projection columns (left + right) and their mean value length
   /// in bytes, as planned from the workload.
@@ -384,12 +387,11 @@ class Engine {
   /// The admission-gated execution path behind PreparedPlan::Execute().
   [[nodiscard]] Status ExecutePreparedPlan(const PreparedPlan& prepared,
                                            ops::PlanRun* out) const;
-  /// Resolve materializing vs streaming (and the chunk size) for a
-  /// decluster-side plan from the resolved chunking policy, the streaming
-  /// budget and StreamingRadixDeclusterCost; fills the mode fields of `ex`.
+  /// Resolve materializing vs streaming (and the range size) for a
+  /// decluster-side plan from the resolved chunking policy and the
+  /// streaming budget; fills the mode fields of `ex`.
   void PlanExecutionMode(const QuerySpec& spec, ChunkingPolicy policy,
-                         size_t n_index, radix_bits_t bits,
-                         Explanation* ex) const;
+                         size_t n_index, Explanation* ex) const;
 
   EngineConfig config_;
   hardware::MemoryHierarchy hw_;

@@ -8,6 +8,7 @@
 
 #include "common/macros.h"
 #include "common/types.h"
+#include "common/uninit_vector.h"
 #include "hardware/memory_hierarchy.h"
 #include "ops/plan.h"
 #include "ops/table.h"
@@ -175,7 +176,8 @@ class RadixJoinOp final : public Operator {
   size_t result_rows_ = 0;
   size_t pos_ = 0;
   /// Materialized result: one oid vector per schema column, result order.
-  std::vector<std::vector<oid_t>> result_cols_;
+  /// Every element is written by the gathers, so none is zero-filled.
+  std::vector<UninitVector<oid_t>> result_cols_;
 };
 
 /// Root payload materialization: gathers each projected value column from

@@ -195,7 +195,7 @@ void RadixJoinOp::Materialize() {
   const size_t rkey_col = right_->schema().OidColumnFor(right_table_);
   const auto& lkey_base = ctx_->catalog->table(left_table_).relation->key();
   const auto& rkey_base = ctx_->catalog->table(right_table_).relation->key();
-  std::vector<value_t> lkeys(lrows), rkeys(rrows);
+  UninitVector<value_t> lkeys(lrows), rkeys(rrows);
   for (size_t i = 0; i < lrows; ++i) lkeys[i] = lkey_base[lcols[lkey_col][i]];
   for (size_t i = 0; i < rrows; ++i) rkeys[i] = rkey_base[rcols[rkey_col][i]];
 
@@ -256,7 +256,8 @@ void RadixJoinOp::Materialize() {
     project::detail::ProjectIndexRight(
         index, /*keep_index=*/false, physical_.right, cols, outs, rrows,
         *ctx_->hw, physical_.right_bits, /*window_elems=*/0,
-        /*phases=*/nullptr, pool);
+        /*phases=*/nullptr, pool, /*var_columns=*/{}, /*var_out=*/nullptr,
+        ctx_->gauge);
   }
 
   // The children are fully consumed; release their arenas before streaming.

@@ -6,51 +6,12 @@
 
 namespace radix::pipeline {
 
-ChunkPlan MakeClusterAlignedChunks(const cluster::ClusterBorders& borders,
-                                   size_t target_rows) {
-  ChunkPlan plan;
-  size_t num = borders.num_clusters();
-  size_t n = borders.total();
-  plan.total_rows = n;
-  if (num == 0 || n == 0) return plan;
-  if (target_rows == 0) target_rows = n;
-
-  size_t c = 0;
-  while (c < num) {
-    ChunkDesc d;
-    d.cluster_begin = c;
-    d.row_begin = borders.start(c);
-    size_t rows = 0;
-    // Take clusters until the target is reached. The first non-empty
-    // cluster is taken unconditionally (rows == 0), and empty clusters are
-    // absorbed for free, so the ranges partition the cluster space.
-    do {
-      rows += borders.size(c);
-      ++c;
-    } while (c < num && (rows == 0 || borders.size(c) == 0 ||
-                         rows + borders.size(c) <= target_rows));
-    d.cluster_end = c;
-    d.row_end = borders.end(c - 1);
-    if (rows == 0) continue;  // all-empty tail: nothing to stream
-    d.index = plan.chunks.size();
-    plan.max_rows = std::max(plan.max_rows, rows);
-    plan.chunks.push_back(d);
-  }
-  return plan;
-}
-
 ChunkPlan MakeRowChunks(size_t n, size_t target_rows) {
   ChunkPlan plan;
-  plan.total_rows = n;
   if (n == 0) return plan;
   if (target_rows == 0) target_rows = n;
   for (size_t begin = 0; begin < n; begin += target_rows) {
-    ChunkDesc d;
-    d.index = plan.chunks.size();
-    d.row_begin = begin;
-    d.row_end = std::min(n, begin + target_rows);
-    plan.max_rows = std::max(plan.max_rows, d.rows());
-    plan.chunks.push_back(d);
+    plan.chunks.push_back({begin, std::min(n, begin + target_rows)});
   }
   return plan;
 }

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "cluster/radix_cluster.h"
 #include "common/macros.h"
 #include "common/types.h"
 #include "storage/column.h"
@@ -13,47 +12,27 @@ namespace radix::pipeline {
 
 class MemoryGauge;
 
-/// One unit of streamed work: a contiguous range of the (clustered) input
-/// arrays. For cluster-aligned plans, rows [row_begin, row_end) are exactly
-/// clusters [cluster_begin, cluster_end) of the borders the plan was built
-/// from; row-chunk plans (order-preserving gathers, no clustering) leave
-/// the cluster range empty.
+/// One unit of streamed work: the rows [row_begin, row_end) of an
+/// order-preserving stream.
 struct ChunkDesc {
-  size_t index = 0;
   size_t row_begin = 0;
   size_t row_end = 0;
-  size_t cluster_begin = 0;
-  size_t cluster_end = 0;
-
-  size_t rows() const { return row_end - row_begin; }
 };
 
-/// The full chunk schedule of one streamed operator pipeline.
+/// The full chunk schedule of one streamed gather.
 struct ChunkPlan {
   std::vector<ChunkDesc> chunks;
-  size_t max_rows = 0;  ///< widest chunk; sizes the executor's ring buffers
-  size_t total_rows = 0;
 };
-
-/// Split a clustered array into chunks of *whole* clusters: every chunk
-/// holds at least one non-empty cluster and at most ~target_rows rows —
-/// exceeded only when a single cluster alone overflows the target (a
-/// cluster cannot be split without breaking the window merge's cursor
-/// contract). Empty clusters are absorbed into the running chunk so the
-/// cluster ranges partition [0, num_clusters). target_rows == 0 yields one
-/// chunk (the materializing execution, as a degenerate plan).
-ChunkPlan MakeClusterAlignedChunks(const cluster::ClusterBorders& borders,
-                                   size_t target_rows);
 
 /// Split a plain row range [0, n) into fixed-size chunks; the plan for
 /// order-preserving streams (left projections, the right side's "u"
 /// strategy) where no clustering is involved.
 ChunkPlan MakeRowChunks(size_t n, size_t target_rows);
 
-/// The per-slot intermediate storage of the executor ring, and the only
-/// allocation the streaming pipeline makes per in-flight chunk: `columns`
-/// value buffers of `capacity_rows` each, in one gauge-tracked block.
-/// Column a of the current chunk occupies [column(a), column(a) + rows).
+/// A gauge-tracked block of `columns` value buffers of `capacity_rows`
+/// each: the operator layer's chunk buffers and the materializing decluster
+/// side's clustered value column. Column a occupies
+/// [column(a), column(a) + capacity_rows).
 class ChunkArena {
  public:
   ChunkArena() = default;
@@ -64,7 +43,7 @@ class ChunkArena {
   /// process-wide MemoryGauge::Instance() when gauge is nullptr. The arena
   /// remembers the gauge so the destructor unregisters against the same
   /// one — which is how an engine's private admission gauge sees exactly
-  /// its own queries' ring buffers.
+  /// its own queries' buffers.
   void Reset(size_t columns, size_t capacity_rows,
              MemoryGauge* gauge = nullptr);
 
@@ -85,15 +64,6 @@ class ChunkArena {
   size_t columns_ = 0;
   size_t capacity_rows_ = 0;
   MemoryGauge* gauge_ = nullptr;  ///< resolved at Reset; Instance() default
-};
-
-/// What a stage receives: the chunk descriptor plus the slot's arena.
-struct WorkChunk {
-  ChunkDesc desc;
-  ChunkArena arena;
-
-  value_t* column(size_t a) { return arena.column(a); }
-  const value_t* column(size_t a) const { return arena.column(a); }
 };
 
 }  // namespace radix::pipeline

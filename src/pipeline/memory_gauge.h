@@ -8,13 +8,13 @@
 
 namespace radix::pipeline {
 
-/// Process-wide instrumentation of the streaming pipeline's intermediate
-/// buffers. Every chunk buffer the executor ring allocates registers its
-/// bytes here, so tests and bench counters can assert the subsystem's
-/// headline invariant: peak in-flight intermediate bytes are
-/// O(ring_slots * chunk_rows * columns), independent of the relation
-/// cardinality N — unlike the materializing projector, whose intermediates
-/// grow with N.
+/// Instrumentation of the value intermediates a query keeps resident:
+/// every ChunkArena registers its bytes here — the operator layer's chunk
+/// buffers and the materializing decluster side's clustered value column
+/// (N * sizeof(value_t) bytes). The streamed decluster side fuses its
+/// gather into the merge and registers nothing. An engine injects its own
+/// gauge so the bytes its admission controller reserves are the bytes
+/// this instrument measures; Instance() is the process-wide default.
 class MemoryGauge {
  public:
   static MemoryGauge& Instance();

@@ -13,6 +13,7 @@
 #include "decluster/radix_decluster.h"
 #include "decluster/window.h"
 #include "join/positional_join.h"
+#include "pipeline/chunk.h"
 #include "storage/column.h"
 
 namespace radix::project {
@@ -237,6 +238,7 @@ void ProjectClustered(const ClusteredIds& c,
                       const std::vector<std::span<value_t>>& out,
                       const hardware::MemoryHierarchy& hw, size_t window_elems,
                       PhaseBreakdown* ph, ThreadPool* pool,
+                      pipeline::MemoryGauge* gauge,
                       const std::vector<const storage::VarcharColumn*>&
                           var_columns,
                       std::vector<storage::VarcharColumn>* var_out) {
@@ -247,20 +249,24 @@ void ProjectClustered(const ClusteredIds& c,
     window = decluster::WindowPolicy::ChooseWindowElems(
         hw, sizeof(value_t), c.borders.num_clusters(), n);
   }
-  storage::Column<value_t> clust_values(n);
+  // The clustered value column is the query's one N-sized value
+  // intermediate; `gauge` measures what admission reserved for it.
+  pipeline::ChunkArena clust_arena;
+  clust_arena.Reset(1, n, gauge);
+  const std::span<value_t> clust_values(clust_arena.column(0), n);
   for (size_t a = 0; a < columns.size(); ++a) {
     timer.Reset();
-    join::PositionalJoinColumns<value_t>(c.ids, {columns[a]},
-                                         {clust_values.span()}, pool);
+    join::PositionalJoinColumns<value_t>(c.ids, {columns[a]}, {clust_values},
+                                         pool);
     ph->projection_seconds += timer.ElapsedSeconds();
     timer.Reset();
     std::vector<decluster::ClusterCursor> cursors =
         decluster::MakeCursors(c.borders);
     if (pool != nullptr) {
       decluster::RadixDeclusterParallel<value_t>(
-          clust_values.span(), c.result_pos, cursors, window, out[a], *pool);
+          clust_values, c.result_pos, cursors, window, out[a], *pool);
     } else {
-      decluster::RadixDecluster<value_t>(clust_values.span(), c.result_pos,
+      decluster::RadixDecluster<value_t>(clust_values, c.result_pos,
                                          std::move(cursors), window, out[a]);
     }
     ph->decluster_seconds += timer.ElapsedSeconds();
@@ -300,7 +306,8 @@ void ProjectIndexRight(
     const hardware::MemoryHierarchy& hw, radix_bits_t bits,
     size_t window_elems, PhaseBreakdown* phases, ThreadPool* pool,
     const std::vector<const storage::VarcharColumn*>& var_columns,
-    std::vector<storage::VarcharColumn>* var_out) {
+    std::vector<storage::VarcharColumn>* var_out,
+    pipeline::MemoryGauge* gauge) {
   RADIX_CHECK(columns.size() == out.size());
   RADIX_CHECK(var_columns.empty() || var_out != nullptr);
   PhaseBreakdown local;
@@ -324,8 +331,8 @@ void ProjectIndexRight(
   ClusteredIds c = ClusterIndexRight(index.span(), spec, pool);
   if (!keep_index) index = join::JoinIndex();
   ph->cluster_seconds += timer.ElapsedSeconds();
-  ProjectClustered(c, columns, out, hw, window_elems, ph, pool, var_columns,
-                   var_out);
+  ProjectClustered(c, columns, out, hw, window_elems, ph, pool, gauge,
+                   var_columns, var_out);
 }
 
 }  // namespace detail
@@ -364,8 +371,8 @@ void ProjectSide(std::vector<oid_t>& ids, SideStrategy strategy,
                                  column_cardinality, hw, bits);
       ClusteredIds c = detail::ClusterIdsWithPositions(ids, spec, pool);
       ph->cluster_seconds += timer.ElapsedSeconds();
-      ProjectClustered(c, columns, out, hw, window_elems, ph, pool, {},
-                       nullptr);
+      ProjectClustered(c, columns, out, hw, window_elems, ph, pool,
+                       /*gauge=*/nullptr, {}, nullptr);
       return;
     }
   }
@@ -446,7 +453,7 @@ storage::DsmResult ProjectShards(join::JoinShards shards,
                             options.right, right_cols, right_out,
                             right.cardinality(), hw, options.right_bits,
                             options.window_elems, ph, pool, var.right,
-                            &result.right_varchars);
+                            &result.right_varchars, options.gauge);
   if (ordered != nullptr) *ordered = std::move(index);
   return result;
 }

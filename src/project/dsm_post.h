@@ -39,9 +39,10 @@ struct DsmPostOptions {
   /// parallel kernels (byte-identical output). No pool is constructed
   /// inside the projector.
   ThreadPool* pool = nullptr;
-  /// Gauge the streaming projector's ring arenas register with; nullptr =
-  /// the process-wide pipeline::MemoryGauge::Instance(). The materializing
-  /// projector ignores it.
+  /// Gauge the materializing decluster side's clustered value column
+  /// (N * sizeof(value_t) bytes) registers with; nullptr = the process-wide
+  /// pipeline::MemoryGauge::Instance(). The streamed projector keeps no
+  /// value intermediate and registers nothing.
   pipeline::MemoryGauge* gauge = nullptr;
 };
 
@@ -111,15 +112,17 @@ void ProjectSide(std::vector<oid_t>& ids, SideStrategy strategy,
                  size_t window_elems, PhaseBreakdown* phases,
                  ThreadPool* pool = nullptr);
 
-/// Streamed DSM post-projection (the pipeline/ subsystem): identical
-/// contract and byte-identical result columns to DsmPostProject, but the
-/// per-column gather and the Radix-Decluster window merge exchange
-/// cluster-aligned chunks of `chunk_rows` rows through a bounded ring on
-/// the thread pool, so the gather of chunk k+1 overlaps the decluster of
-/// chunk k and peak intermediate memory is O(ring * chunk_rows * columns)
-/// instead of O(N). chunk_rows == 0 picks a cache-sized chunk
-/// (DefaultChunkRows). Phase fields of `phases` accumulate busy time; the
-/// streamed sections' wall time lands in phases->pipeline_wall_seconds.
+/// Streamed DSM post-projection: identical contract and byte-identical
+/// result columns to DsmPostProject, but no value intermediate. The
+/// order-preserving gathers (left side, a u right side) run over row chunks
+/// of `chunk_rows` straight into the result; a d right side runs
+/// decluster::RadixDeclusterGather, the positional join fused into the
+/// Radix-Decluster merge, with result ranges of `chunk_rows` rows in place
+/// of the insertion window (options.window_elems is not used).
+/// chunk_rows == 0 picks a cache-sized range (DefaultChunkRows). Phase
+/// fields of `phases` accumulate busy time (the fused kernel's in
+/// decluster_seconds); the streamed sections' wall time lands in
+/// phases->pipeline_wall_seconds.
 storage::DsmResult DsmPostProjectStreaming(
     join::JoinIndex& index, const storage::DsmRelation& left,
     const storage::DsmRelation& right, size_t pi_left, size_t pi_right,
@@ -134,8 +137,8 @@ storage::DsmResult DsmPostProjectStreaming(
     const hardware::MemoryHierarchy& hw, const DsmPostOptions& options,
     size_t chunk_rows, PhaseBreakdown* phases = nullptr);
 
-/// Auto chunk size: one in-flight chunk column spans about the target
-/// cache, so a gathered chunk is still resident when its merge starts.
+/// Auto chunk size: one column's result range fills the target cache, so
+/// the fused merge's random writes stay cache-resident.
 size_t DefaultChunkRows(const hardware::MemoryHierarchy& hw);
 
 namespace detail {
@@ -213,7 +216,8 @@ void ReorderIndexLeft(join::JoinIndex& index, size_t left_cardinality,
 /// §4.1). `var_columns` / `var_out` carry the side's variable-size
 /// projections (paper §5): gathered off the index for u, or run through
 /// the three-phase varchar Radix-Decluster for d. `pool` may be null
-/// (serial kernels), and so may `phases`.
+/// (serial kernels), and so may `phases`. d's clustered value column
+/// registers its bytes with `gauge` (nullptr = MemoryGauge::Instance()).
 void ProjectIndexRight(
     join::JoinIndex& index, bool keep_index, SideStrategy strategy,
     const std::vector<std::span<const value_t>>& columns,
@@ -221,7 +225,8 @@ void ProjectIndexRight(
     const hardware::MemoryHierarchy& hw, radix_bits_t bits,
     size_t window_elems, PhaseBreakdown* phases, ThreadPool* pool,
     const std::vector<const storage::VarcharColumn*>& var_columns = {},
-    std::vector<storage::VarcharColumn>* var_out = nullptr);
+    std::vector<storage::VarcharColumn>* var_out = nullptr,
+    pipeline::MemoryGauge* gauge = nullptr);
 
 }  // namespace detail
 

@@ -1,22 +1,53 @@
-// Streamed DSM post-projection: the query-specific wiring of the generic
-// pipeline/ subsystem. The blocking phases (index reorder, right-side
-// cluster) run exactly as in the materializing projector, through the same
-// helpers; everything downstream — per-column positional gather and
-// Radix-Decluster window merge — flows through StreamingExecutor in
-// cluster-aligned chunks, so the two stages overlap and intermediates stay
-// chunk-sized.
+// Streamed DSM post-projection. The blocking prefix (index reorder,
+// right-side cluster) runs exactly as in the materializing projector,
+// through the same helpers. Downstream nothing is materialized: the
+// order-preserving gathers run over row chunks straight into the result,
+// and the decluster side runs decluster::RadixDeclusterGather, which
+// fetches each value inside the merge, one result range per grain — so no
+// value intermediate exists at any chunk size.
 
-#include <algorithm>
+#include <atomic>
 
 #include "common/timer.h"
-#include "decluster/window.h"
-#include "pipeline/executor.h"
-#include "pipeline/operators.h"
+#include "decluster/radix_decluster.h"
+#include "join/positional_join.h"
+#include "pipeline/chunk.h"
 #include "project/dsm_post.h"
 
 namespace radix::project {
 
 namespace {
+
+/// Gather `cols` off one side of `index` in index order, one row chunk per
+/// grain, straight into `outs`. Summed grain time goes to
+/// ph->projection_seconds, wall time to ph->pipeline_wall_seconds.
+template <bool kLeft>
+void GatherInRowChunks(std::span<const cluster::OidPair> index,
+                       const std::vector<std::span<const value_t>>& cols,
+                       const std::vector<std::span<value_t>>& outs,
+                       size_t chunk_rows, ThreadPool* pool,
+                       PhaseBreakdown* ph) {
+  const pipeline::ChunkPlan plan =
+      pipeline::MakeRowChunks(index.size(), chunk_rows);
+  std::atomic<uint64_t> busy_nanos{0};
+  auto gather = [&](size_t k) {
+    Timer timer;
+    const pipeline::ChunkDesc& d = plan.chunks[k];
+    for (size_t a = 0; a < cols.size(); ++a) {
+      join::PositionalJoinPairsRange<value_t, kLeft>(
+          index, d.row_begin, d.row_end, cols[a], outs[a].data() + d.row_begin);
+    }
+    busy_nanos.fetch_add(timer.ElapsedNanos(), std::memory_order_relaxed);
+  };
+  Timer wall;
+  if (pool == nullptr) {
+    for (size_t k = 0; k < plan.chunks.size(); ++k) gather(k);
+  } else {
+    pool->ParallelFor(plan.chunks.size(), gather);
+  }
+  ph->pipeline_wall_seconds += wall.ElapsedSeconds();
+  ph->projection_seconds += 1e-9 * busy_nanos.load();
+}
 
 /// DsmPostProjectStreaming off shards; `ordered`, when non-null, receives
 /// the index in result order.
@@ -43,7 +74,6 @@ storage::DsmResult StreamShards(join::JoinShards shards,
   PhaseBreakdown local;
   PhaseBreakdown* ph = phases != nullptr ? phases : &local;
   ThreadPool* pool = KernelPool(options.pool);
-  Timer timer;
 
   // Blocking prefix, identical to DsmPostProject: byte-identical inputs to
   // the streamed stages guarantee byte-identical output columns.
@@ -51,77 +81,45 @@ storage::DsmResult StreamShards(join::JoinShards shards,
       detail::IndexInLeftOrder(std::move(shards), left.cardinality(), hw,
                                options.left, options.left_bits, pool, ph);
 
-  pipeline::ExecutorOptions xopts;
-  xopts.pool = pool;
-  xopts.gauge = options.gauge;
-
-  // Left projections preserve the (reordered) index order, so each chunk
-  // gathers straight into its row range of the result — no intermediates.
-  {
-    std::vector<std::span<const value_t>> cols(pi_left);
-    std::vector<std::span<value_t>> outs(pi_left);
-    for (size_t a = 0; a < pi_left; ++a) {
-      cols[a] = left.attr(1 + a).span();
-      outs[a] = result.left_columns[a].span();
-    }
-    pipeline::ChunkPlan plan = pipeline::MakeRowChunks(n, chunk_rows);
-    pipeline::PairsGatherStage gather(index.span(), /*left_side=*/true,
-                                      std::move(cols), std::move(outs));
-    pipeline::StreamingExecutor exec(xopts);
-    pipeline::PipelineStats stats;
-    ph->pipeline_wall_seconds += exec.Run(plan, gather, nullptr, &stats);
-    ph->projection_seconds += stats.gather_busy_seconds;
+  // Left projections preserve the (reordered) index order.
+  std::vector<std::span<const value_t>> cols(pi_left);
+  std::vector<std::span<value_t>> outs(pi_left);
+  for (size_t a = 0; a < pi_left; ++a) {
+    cols[a] = left.attr(1 + a).span();
+    outs[a] = result.left_columns[a].span();
   }
+  GatherInRowChunks</*kLeft=*/true>(index.span(), cols, outs, chunk_rows,
+                                    pool, ph);
 
-  std::vector<std::span<const value_t>> cols(pi_right);
-  std::vector<std::span<value_t>> outs(pi_right);
+  cols.resize(pi_right);
+  outs.resize(pi_right);
   for (size_t a = 0; a < pi_right; ++a) {
     cols[a] = right.attr(1 + a).span();
     outs[a] = result.right_columns[a].span();
   }
-
   if (options.right == SideStrategy::kUnsorted) {
     // Result order is index order: gather off the index's right oids.
-    pipeline::ChunkPlan plan = pipeline::MakeRowChunks(n, chunk_rows);
-    pipeline::PairsGatherStage gather(index.span(), /*left_side=*/false,
-                                      std::move(cols), std::move(outs));
-    pipeline::StreamingExecutor exec(xopts);
-    pipeline::PipelineStats stats;
-    ph->pipeline_wall_seconds += exec.Run(plan, gather, nullptr, &stats);
-    ph->projection_seconds += stats.gather_busy_seconds;
+    GatherInRowChunks</*kLeft=*/false>(index.span(), cols, outs, chunk_rows,
+                                       pool, ph);
   } else {
     // Decluster side — s and c too, by the same §4.1 rule as the
     // materializing projector: only u and d preserve the result order the
     // left side fixed. Blocking: cluster (right id, result position) pairs
-    // on the id values. Streamed: gather chunk k+1's values while chunk
-    // k's window merge scatters into the result.
-    timer.Reset();
+    // on the id values. Streamed: the fused gather + merge per result range.
+    Timer timer;
     cluster::ClusterSpec spec =
         detail::SpecFor(SideStrategy::kClustered, n, right.cardinality(), hw,
                         options.right_bits);
     detail::ClusteredIds c = detail::ClusterIndexRight(index.span(), spec, pool);
-    // The streamed stages read only `c`; free the index unless the caller
-    // keeps it.
+    // The merge reads only `c`; free the index unless the caller keeps it.
     if (ordered == nullptr) index = join::JoinIndex();
     ph->cluster_seconds += timer.ElapsedSeconds();
 
-    size_t window = options.window_elems;
-    if (window == 0) {
-      window = decluster::WindowPolicy::ChooseWindowElems(
-          hw, sizeof(value_t), c.borders.num_clusters(), n);
-    }
-    pipeline::ChunkPlan plan =
-        pipeline::MakeClusterAlignedChunks(c.borders, chunk_rows);
-    xopts.buffer_columns = pi_right;
-    xopts.buffer_rows = plan.max_rows;
-    pipeline::ClusteredGatherStage gather(c.ids, std::move(cols));
-    pipeline::DeclusterMergeSink sink(c.result_pos, &c.borders, window,
-                                      std::move(outs));
-    pipeline::StreamingExecutor exec(xopts);
-    pipeline::PipelineStats stats;
-    ph->pipeline_wall_seconds += exec.Run(plan, gather, &sink, &stats);
-    ph->projection_seconds += stats.gather_busy_seconds;
-    ph->decluster_seconds += stats.sink_busy_seconds;
+    timer.Reset();
+    decluster::RadixDeclusterGather<value_t>(
+        cols, c.ids, c.result_pos, decluster::MakeCursors(c.borders),
+        chunk_rows, outs, pool, &ph->decluster_seconds);
+    ph->pipeline_wall_seconds += timer.ElapsedSeconds();
   }
   if (ordered != nullptr) *ordered = std::move(index);
   return result;

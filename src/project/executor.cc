@@ -244,9 +244,9 @@ QueryRun RunQueryStreaming(const workload::JoinWorkload& w,
                            JoinStrategy strategy, const QueryOptions& options,
                            const hardware::MemoryHierarchy& hw) {
   if (strategy != JoinStrategy::kDsmPostDecluster || WantsVarchar(options)) {
-    // No streaming path for varchar projections yet (the chunk buffers are
-    // fixed-width); the engine's planner mirrors this fallback, so Explain
-    // never claims a varchar query streams.
+    // No streaming path for varchar projections yet (the fused decluster
+    // writes fixed-width slots); the engine's planner mirrors this fallback,
+    // so Explain never claims a varchar query streams.
     return RunQuery(w, strategy, options, hw);
   }
   QueryRun run;

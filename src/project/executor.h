@@ -73,13 +73,15 @@ struct QueryOptions {
   /// kernels (required for MemTracer runs); a larger pool runs the
   /// parallel kernels with byte-identical output.
   ThreadPool* pool = nullptr;
-  /// Chunk size (rows) for RunQueryStreaming's pipeline; 0 = auto, a
-  /// cache-sized chunk per column (DefaultChunkRows). RunQuery ignores it.
+  /// Chunk size (rows) for RunQueryStreaming: its row chunks and result
+  /// ranges; 0 = auto, a cache-sized range per column (DefaultChunkRows).
+  /// RunQuery ignores it.
   size_t chunk_rows = 0;
-  /// Gauge the streaming pipeline's ring buffers register their bytes
-  /// with; nullptr = the process-wide pipeline::MemoryGauge::Instance().
-  /// The engine's admission controller injects its own gauge here so the
-  /// memory it meters is the memory it admitted against.
+  /// Gauge the materializing decluster side's clustered value column
+  /// registers its bytes with; nullptr = the process-wide
+  /// pipeline::MemoryGauge::Instance(). The engine's admission controller
+  /// injects its own gauge here so the memory it meters is the memory it
+  /// admitted against.
   pipeline::MemoryGauge* gauge = nullptr;
 };
 
@@ -92,15 +94,14 @@ QueryRun RunQuery(const workload::JoinWorkload& w, JoinStrategy strategy,
                   const QueryOptions& options,
                   const hardware::MemoryHierarchy& hw);
 
-/// Streamed execution (the pipeline/ subsystem): for the DSM
-/// post-projection strategy the gather and Radix-Decluster phases exchange
-/// cluster-aligned chunks of options.chunk_rows rows through a bounded ring
-/// on the thread pool, overlapping the phases and bounding intermediates to
-/// O(chunk_rows * columns) instead of O(N). Checksum, cardinality and the
-/// result columns themselves are identical to RunQuery for every
-/// strategy/seed. Strategies without a streaming path yet (the NSM and
-/// pre-projection families, whose intermediates are row-major records) fall
-/// back to RunQuery.
+/// Streamed execution: for the DSM post-projection strategy the ordered
+/// gathers run over row chunks of options.chunk_rows rows and a d right
+/// side runs the fused gather + Radix-Decluster per result range
+/// (DsmPostProjectStreaming), so no value intermediate is kept. Checksum,
+/// cardinality and the result columns themselves are identical to RunQuery
+/// for every strategy/seed. Strategies without a streaming path (the NSM
+/// and pre-projection families, whose intermediates are row-major records)
+/// and varchar projections fall back to RunQuery.
 QueryRun RunQueryStreaming(const workload::JoinWorkload& w,
                            JoinStrategy strategy, const QueryOptions& options,
                            const hardware::MemoryHierarchy& hw);

@@ -162,16 +162,24 @@ void DsmPostCost(const DsmPostCostInput& in,
       costmodel::RadixClusterCost(hw, cpu, n, 2 * sizeof(oid_t), bits,
                                   d.spec.passes),
       1.0);
-  gathers(in.right_rows, in.pi_right, in.pi_varchar_right,
-          in.avg_varchar_right_len, bits, /*sorted=*/false);
-  add(totals.decluster,
-      in.chunk_rows != 0
-          ? costmodel::StreamingRadixDeclusterCost(hw, cpu, n, in.value_width,
-                                                   bits, d.window_elems,
-                                                   in.chunk_rows)
-          : costmodel::RadixDeclusterCost(hw, cpu, n, in.value_width, bits,
-                                          d.window_elems),
-      static_cast<double>(std::max<size_t>(1, in.pi_right)));
+  const double pi_right = static_cast<double>(std::max<size_t>(1, in.pi_right));
+  if (in.chunk_rows != 0) {
+    // Streamed: RadixDeclusterGather fetches every value inside the merge,
+    // so its one fused term replaces the gather and decluster terms.
+    // (Varchar queries never stream; the executor materializes them.)
+    add(totals.decluster,
+        costmodel::RadixDeclusterGatherCost(hw, cpu, n, in.right_rows,
+                                            in.value_width, bits,
+                                            in.chunk_rows),
+        pi_right);
+  } else {
+    gathers(in.right_rows, in.pi_right, in.pi_varchar_right,
+            in.avg_varchar_right_len, bits, /*sorted=*/false);
+    add(totals.decluster,
+        costmodel::RadixDeclusterCost(hw, cpu, n, in.value_width, bits,
+                                      d.window_elems),
+        pi_right);
+  }
   if (in.pi_varchar_right > 0) {
     // The Fig. 12 three-phase paged-decluster term; its window holds
     // avg_len-byte values (the executor sizes it the same way).

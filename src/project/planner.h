@@ -76,8 +76,8 @@ DeclusterPlan PlanDeclusterSide(size_t index_rows, size_t right_rows,
 /// `value_width` is the bytes per fixed-width value (4-byte values, or the
 /// oid columns an operator join gathers); a fixed-column count of 0 is
 /// charged as 1; `sides` carries the resolved sides plus the radix-bits
-/// and window overrides; `chunk_rows` is a d right side's streamed chunk
-/// size, 0 = materialize.
+/// and window overrides; `chunk_rows` is a d right side's streamed result
+/// range, 0 = materialize.
 struct DsmPostCostInput {
   size_t left_rows = 0;
   size_t right_rows = 0;
@@ -105,7 +105,8 @@ struct PhaseCostTotals {
 
 /// The modeled cost of one DSM post-projection join, added into `totals`:
 /// the partitioned hash join, the left index reorder and gathers, the
-/// right side's gathers (u) or cluster + gather + Radix-Decluster (d), and
+/// right side's gathers (u) or cluster + gather + Radix-Decluster (d; one
+/// fused RadixDeclusterGatherCost term per column when streamed), and
 /// the Fig. 12 varchar decluster term. The engine's two-sided Explain and
 /// the ops optimizer's per-edge costs both come from here.
 void DsmPostCost(const DsmPostCostInput& in,

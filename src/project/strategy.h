@@ -34,10 +34,10 @@ const char* JoinStrategyName(JoinStrategy s);
 ///
 /// The four per-phase fields are *busy* time. For materializing runs the
 /// phases execute back-to-back on one thread, so busy == wall and they sum
-/// to the run's elapsed time. A streamed run (RunQueryStreaming) overlaps
-/// the gather and decluster stages across pool threads: the per-phase
-/// fields then accumulate thread-seconds across all chunk tasks and may
-/// legitimately exceed the wall clock; the wall time of the overlapped
+/// to the run's elapsed time. A streamed run (RunQueryStreaming) runs its
+/// gathers and fused decluster as chunk grains across pool threads: the
+/// per-phase fields then accumulate thread-seconds across all grains and
+/// may legitimately exceed the wall clock; the wall time of the streamed
 /// sections is recorded separately in pipeline_wall_seconds.
 struct PhaseBreakdown {
   double join_seconds = 0;        ///< creating the join index / join phase

@@ -242,10 +242,10 @@ TEST(EngineAdmissionTest, OversizedQueryFailsFastWithClearStatus) {
 
 TEST(EngineAdmissionTest, GaugePeakNeverExceedsBudgetUnderConcurrency) {
   // Instrumented-allocator check of the whole chain: a private MemoryGauge
-  // measures the streaming rings' actual bytes while 4 clients push
-  // streamed queries through a budget sized for ~2 queries. The measured
-  // peak must stay under the budget; with more clients than budget slots,
-  // at least one query must have queued.
+  // measures the materializing decluster side's clustered value column
+  // while 4 clients push queries through a budget sized for ~2 queries. The
+  // measured peak must stay under the budget; with more clients than budget
+  // slots, at least one query must have queued.
   pipeline::MemoryGauge gauge;
 
   EngineConfig cfg = P4Config(/*threads=*/2);
@@ -254,9 +254,8 @@ TEST(EngineAdmissionTest, GaugePeakNeverExceedsBudgetUnderConcurrency) {
 
   workload::JoinWorkload w = MakeW(1 << 14);
   QuerySpec spec = DeclusterSpec();
-  spec.chunking = ChunkingPolicy::kStream;
-  spec.chunk_rows = 1024;
-  spec.right_bits = 6;  // ~256 rows/cluster << chunk_rows: no overflow chunks
+  spec.chunking = ChunkingPolicy::kMaterialize;
+  spec.right_bits = 6;
   const size_t per_query =
       probe.Prepare(w, spec).Explain().modeled_intermediate_bytes;
   ASSERT_GT(per_query, 0u);
@@ -285,11 +284,11 @@ TEST(EngineAdmissionTest, GaugePeakNeverExceedsBudgetUnderConcurrency) {
   EXPECT_EQ(stats.queries_executed, 8u);
   EXPECT_EQ(stats.admission.reserved_bytes, 0u);
   EXPECT_LE(stats.admission.peak_reserved_bytes, cfg.admission_budget_bytes);
-  // The instrumented allocator agrees with the model: measured ring bytes
-  // never exceeded what admission allowed in flight.
+  // The instrumented allocator agrees with the model: measured value
+  // intermediates never exceeded what admission allowed in flight.
   EXPECT_LE(gauge.peak_bytes(), cfg.admission_budget_bytes);
   EXPECT_GT(gauge.peak_bytes(), 0u);
-  EXPECT_EQ(gauge.current_bytes(), 0u);  // every ring buffer was returned
+  EXPECT_EQ(gauge.current_bytes(), 0u);  // every buffer was returned
 }
 
 TEST(EngineAdmissionTest, QueriesQueueInsteadOfFailingWhenBudgetIsTight) {
@@ -300,8 +299,7 @@ TEST(EngineAdmissionTest, QueriesQueueInsteadOfFailingWhenBudgetIsTight) {
 
   workload::JoinWorkload w = MakeW(1 << 13);
   QuerySpec spec = DeclusterSpec();
-  spec.chunking = ChunkingPolicy::kStream;
-  spec.chunk_rows = 512;
+  spec.chunking = ChunkingPolicy::kMaterialize;
   const size_t per_query =
       probe.Prepare(w, spec).Explain().modeled_intermediate_bytes;
   ASSERT_GT(per_query, 0u);

@@ -165,42 +165,52 @@ TEST(ModelsTest, DeclusterDegradesWithTinyWindows) {
 }
 
 TEST(ModelsTest, StreamingDeclusterConvergesToMaterializing) {
-  // chunk_rows >= N is the materializing execution as a degenerate plan;
-  // the streamed model must predict (essentially) the same cost there.
+  // range_rows >= N is one range over the whole result: the two-phase
+  // prediction (gather, then Radix-Decluster with the window set to the
+  // whole result) without the clustered value buffer's write and read-back,
+  // which the fused kernel never makes.
   auto hw = P4();
   CpuCosts cpu;
   size_t n = 8'000'000;
-  size_t window = (256 * 1024) / 4;
-  double mat = RadixDeclusterCost(hw, cpu, n, 4, 10, window).seconds;
-  double one_chunk =
-      StreamingRadixDeclusterCost(hw, cpu, n, 4, 10, window, n).seconds;
-  EXPECT_NEAR(one_chunk, mat, mat * 0.01);
+  radix_bits_t bits = 10;
+  double fused = RadixDeclusterGatherCost(hw, cpu, n, n, 4, bits, n).seconds;
+  EXPECT_DOUBLE_EQ(
+      RadixDeclusterGatherCost(hw, cpu, n, n, 4, bits, 4 * n).seconds, fused);
+  double two_phase =
+      ClusteredPositionalJoinCost(hw, cpu, n, n, 4, bits, false).seconds +
+      RadixDeclusterCost(hw, cpu, n, 4, bits, n).seconds;
+  double buffer =
+      MissesToSeconds(hw, STrav({&hw, 1.0}, Region::Of(n, 4)) * 2.0, 0.0);
+  EXPECT_LT(fused, two_phase);
+  EXPECT_NEAR(fused, two_phase - buffer, 0.05 * two_phase);
 }
 
 TEST(ModelsTest, StreamingDeclusterChargesPerChunkTraversals) {
-  // Smaller chunks mean more per-chunk window sweeps and task hand-offs:
-  // the model's overhead must grow monotonically as chunks shrink, and
-  // every streamed prediction stays at or above the materializing one.
+  // Smaller ranges cut each cluster's column region into colder segments
+  // and seek every cluster once more per range, so while the range's writes
+  // stay resident at the same cache levels the cost falls as the range
+  // grows. Each level the range outgrows is a cliff (Fig. 7a's window
+  // cliff): the P4's 16 KiB L1 between 4K and 8K rows, its 512 KiB L2
+  // past the cache-sized range.
   auto hw = P4();
   CpuCosts cpu;
   size_t n = 8'000'000;
-  size_t window = (256 * 1024) / 4;
-  double mat = RadixDeclusterCost(hw, cpu, n, 4, 10, window).seconds;
-  double prev = mat;
-  for (size_t chunk : {n, n / 4, n / 16, n / 64, n / 256}) {
-    double streamed =
-        StreamingRadixDeclusterCost(hw, cpu, n, 4, 10, window, chunk).seconds;
-    EXPECT_GE(streamed, mat * 0.999) << "chunk=" << chunk;
-    EXPECT_GE(streamed, prev * 0.999) << "chunk=" << chunk;
-    prev = streamed;
+  radix_bits_t bits = 10;
+  auto cost = [&](size_t range) {
+    return RadixDeclusterGatherCost(hw, cpu, n, n, 4, bits, range).seconds;
+  };
+  // A range never holds fewer rows than there are clusters.
+  EXPECT_DOUBLE_EQ(cost(1), cost(size_t{1} << bits));
+  const size_t l1_rows = hw.l1().capacity_bytes / 4;
+  const size_t tlb_rows = hw.tlb.capacity_bytes() / 4;
+  for (auto [lo, hi] : {std::pair{size_t{1} << bits, l1_rows},
+                        std::pair{2 * l1_rows, tlb_rows}}) {
+    for (size_t range = lo; 2 * range <= hi; range *= 2) {
+      EXPECT_LE(cost(2 * range), cost(range)) << "range=" << range;
+    }
   }
-  // But the overhead stays moderate at the default (cache-sized) chunk:
-  // streaming is modeled as a memory-bound win, not a cost cliff.
-  size_t cache_chunk = hw.target_cache().capacity_bytes / 4;
-  double cache_sized =
-      StreamingRadixDeclusterCost(hw, cpu, n, 4, 10, window, cache_chunk)
-          .seconds;
-  EXPECT_LT(cache_sized, mat * 2.0);
+  const size_t cache_rows = hw.target_cache().capacity_bytes / 4;
+  EXPECT_GT(cost(2 * cache_rows), 1.5 * cost(cache_rows / 2));
 }
 
 TEST(ModelsTest, JiveJoinsHaveOpposingBitPreferences) {

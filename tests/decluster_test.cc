@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -298,6 +300,205 @@ TEST(PagedLikeDeclusterProperty, DeclusterIsInverseOfCluster) {
                             std::span<value_t>(result));
     ExpectDeclustered(in, result);
   }
+}
+
+// RadixDeclusterGather, the streamed projection's decluster side. Its tests
+// keep the Pipeline* suite names the streamed path has been tested under: a
+// result range plays the part of a chunk, the kernel's grains the part of
+// the executor's chunk runs.
+
+/// A decluster side as the projectors build it: result row i joins right
+/// oid rid[i] of a `column_n`-row column, and the (rid, i) pairs are
+/// radix-clustered on rid with `bits` bits (Fig. 4). `hit_rate` < 1 leaves
+/// part of the column unreferenced; `zipf` > 0 skews the oids towards the
+/// low ones, so a few clusters take most rows and many stay empty.
+struct GatherInput {
+  std::vector<value_t> column;
+  std::vector<oid_t> ids;        ///< right oids, clustered
+  std::vector<oid_t> positions;  ///< each one's result row
+  ClusterBorders borders;
+};
+
+GatherInput MakeGatherInput(size_t n, radix_bits_t bits, double hit_rate,
+                            double zipf, uint64_t seed) {
+  struct IdPos {
+    oid_t id, pos;
+  };
+  const size_t column_n =
+      std::max<size_t>(1, static_cast<size_t>(static_cast<double>(n) / hit_rate));
+  Rng rng(seed);
+  GatherInput in;
+  in.column.resize(column_n);
+  for (value_t& v : in.column) v = static_cast<value_t>(rng.Below(1u << 31));
+  std::vector<IdPos> pairs(n);
+  workload::ZipfGenerator skewed(column_n, zipf > 0 ? zipf : 1.0);
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t rid = zipf > 0 ? skewed.Next(rng) : rng.Below(column_n);
+    pairs[i] = {static_cast<oid_t>(rid), static_cast<oid_t>(i)};
+  }
+  radix_bits_t sig = SignificantBits(column_n);
+  radix_bits_t b = std::min<radix_bits_t>(bits, sig);
+  ClusterSpec spec{.total_bits = b,
+                   .ignore_bits = static_cast<radix_bits_t>(sig - b),
+                   .passes = 1};
+  std::vector<IdPos> scratch(n);
+  simcache::NoTracer nt;
+  auto radix_of = [](const IdPos& p) -> uint64_t { return p.id; };
+  in.borders = cluster::RadixClusterMultiPass(pairs.data(), scratch.data(), n,
+                                              radix_of, spec, nt);
+  if (in.borders.offsets.empty()) in.borders.offsets = {0, n};
+  for (const IdPos& p : pairs) {
+    in.ids.push_back(p.id);
+    in.positions.push_back(p.pos);
+  }
+  return in;
+}
+
+/// The paper's two-phase decluster side, serial: gather the column in
+/// clustered order, then Radix-Decluster into result order.
+std::vector<value_t> TwoPhaseDecluster(const GatherInput& in, size_t window) {
+  const size_t n = in.ids.size();
+  std::vector<value_t> values(n);
+  for (size_t p = 0; p < n; ++p) values[p] = in.column[in.ids[p]];
+  std::vector<value_t> result(n, -1);
+  RadixDecluster<value_t>(values, in.positions, in.borders, window,
+                          std::span<value_t>(result));
+  return result;
+}
+
+TEST(PipelineDecluster, ChunkedMergeMatchesFullMerge) {
+  // The fused kernel against gather + serial RadixDecluster across seeds,
+  // pools, bits (0 = one cluster; 9 leaves clusters empty), skew, hit
+  // rates below 1 and range sizes from 1 row past N — N is no multiple of
+  // most of them.
+  constexpr size_t kWindow = 256;
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (size_t threads : {1u, 2u, 3u, 4u}) {
+    pools.push_back(std::make_unique<ThreadPool>(threads));
+  }
+  for (uint64_t seed : {1u, 2u}) {
+    const size_t n = 3000 + 997 * seed;
+    for (radix_bits_t bits : {0, 1, 7, 9}) {
+      for (double hit_rate : {1.0, 0.4}) {
+        for (double zipf : {0.0, 1.1}) {
+          GatherInput in = MakeGatherInput(n, bits, hit_rate, zipf,
+                                           seed * 100 + bits);
+          const std::vector<value_t> expected = TwoPhaseDecluster(in, kWindow);
+          std::vector<value_t> second(in.column.size());
+          for (size_t i = 0; i < second.size(); ++i) {
+            second[i] = ~in.column[i];
+          }
+          for (const auto& pool : pools) {
+            for (size_t range : {size_t{1}, size_t{7}, kWindow, n - 1, n,
+                                 2 * n + 5}) {
+              std::vector<value_t> out(n, -2);
+              std::vector<value_t> out2(n, -2);
+              double busy = 0;
+              RadixDeclusterGather<value_t>(
+                  {in.column, second}, in.ids, in.positions,
+                  MakeCursors(in.borders), range,
+                  {std::span<value_t>(out), std::span<value_t>(out2)},
+                  pool.get(), &busy);
+              ASSERT_EQ(out, expected)
+                  << "seed=" << seed << " bits=" << bits
+                  << " hit_rate=" << hit_rate << " zipf=" << zipf
+                  << " threads=" << pool->num_threads() << " range=" << range;
+              for (size_t r = 0; r < n; ++r) {
+                ASSERT_EQ(out2[r], ~expected[r]) << "second column, row " << r;
+              }
+              EXPECT_GT(busy, 0.0);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// A value whose copy-assignment counts the writes into each result slot,
+/// so a test can see that the fused merge writes every slot exactly once.
+struct CountedValue {
+  value_t v = 0;
+  static inline std::atomic<int>* writes = nullptr;
+  static inline const CountedValue* base = nullptr;
+
+  CountedValue() = default;
+  CountedValue(const CountedValue&) = default;
+  CountedValue& operator=(const CountedValue& other) {
+    v = other.v;
+    writes[this - base].fetch_add(1, std::memory_order_relaxed);
+    return *this;
+  }
+};
+
+TEST(PipelineExecutor, RunsEveryChunkExactlyOnceAcrossConfigs) {
+  const size_t n = 9973;
+  GatherInput in = MakeGatherInput(n, 6, 1.0, 0.0, 41);
+  std::vector<CountedValue> column(in.column.size());
+  for (size_t i = 0; i < column.size(); ++i) column[i].v = in.column[i];
+  const std::vector<value_t> expected = TwoPhaseDecluster(in, 512);
+  for (size_t threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    for (size_t range : {size_t{1}, size_t{100}, size_t{4096}, n}) {
+      std::vector<CountedValue> out(n);
+      std::vector<std::atomic<int>> writes(n);
+      CountedValue::writes = writes.data();
+      CountedValue::base = out.data();
+      RadixDeclusterGather<CountedValue>(
+          {std::span<const CountedValue>(column)}, in.ids, in.positions,
+          MakeCursors(in.borders), range, {std::span<CountedValue>(out)},
+          &pool);
+      for (size_t r = 0; r < n; ++r) {
+        ASSERT_EQ(writes[r].load(), 1)
+            << "slot " << r << " threads=" << threads << " range=" << range;
+        ASSERT_EQ(out[r].v, expected[r]);
+      }
+    }
+  }
+}
+
+TEST(PipelineChunkPlan, ClusterAlignedChunksPartitionTheClusters) {
+  // The seek every grain runs: over consecutive result ranges, a cluster's
+  // segments are adjacent, in order, and cover the cluster exactly — also
+  // with empty clusters and ranges of a single row.
+  Rng rng(11);
+  for (int round = 0; round < 10; ++round) {
+    const size_t n = 500 + rng.Below(5000);
+    GatherInput in = MakeGatherInput(n, static_cast<radix_bits_t>(rng.Below(10)),
+                                     1.0, round % 2 == 0 ? 0.0 : 1.2,
+                                     500 + round);
+    const size_t range = 1 + rng.Below(n);
+    for (const ClusterCursor& c : MakeCursors(in.borders)) {
+      uint64_t next = c.start;
+      for (uint64_t begin = 0; begin < n; begin += range) {
+        const uint64_t end = std::min<uint64_t>(n, begin + range);
+        ClusterCursor seg =
+            detail::SeekRange(in.positions.data(), c, begin, end, n);
+        ASSERT_EQ(seg.start, next) << "round " << round;
+        ASSERT_LE(seg.start, seg.end);
+        for (uint64_t p = seg.start; p < seg.end; ++p) {
+          ASSERT_GE(in.positions[p], begin);
+          ASSERT_LT(in.positions[p], end);
+        }
+        next = seg.end;
+      }
+      ASSERT_EQ(next, c.end) << "round " << round;
+    }
+  }
+}
+
+TEST(PipelineExecutor, EmptyPlanIsANoOp) {
+  GatherInput in = MakeGatherInput(0, 4, 1.0, 0.0, 3);
+  std::vector<value_t> out;
+  ThreadPool pool(2);
+  double busy = 0;
+  RadixDeclusterGather<value_t>({in.column}, in.ids, in.positions,
+                                MakeCursors(in.borders), 64,
+                                {std::span<value_t>(out)}, &pool, &busy);
+  EXPECT_EQ(busy, 0.0);
+  // No columns at all is a no-op too.
+  RadixDeclusterGather<value_t>({}, in.ids, in.positions,
+                                MakeCursors(in.borders), 64, {}, nullptr);
 }
 
 }  // namespace

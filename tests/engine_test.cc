@@ -334,8 +334,9 @@ TEST(EngineTest, ChunkingPolicyControlsExecutionMode) {
 }
 
 TEST(EngineTest, ExplainStreamingCostUsesStreamingModel) {
-  // When the plan streams, the modeled decluster phase must be the
-  // streamed prediction for the chosen chunk — not the materializing one.
+  // When the plan streams, the right side's gather and decluster are one
+  // fused kernel: the modeled decluster phase is its prediction for the
+  // chosen range, and the projection phase keeps only the left gathers.
   Engine eng(P4Config());
   workload::JoinWorkload w = MakeW(1 << 16, 41, /*omega=*/3);
   QuerySpec spec;
@@ -349,18 +350,19 @@ TEST(EngineTest, ExplainStreamingCostUsesStreamingModel) {
   const Explanation& ex = eng.Prepare(w, spec).Explain();
   ASSERT_TRUE(ex.streaming);
   EXPECT_EQ(ex.chunk_rows, 4096u);
-  double expected = costmodel::StreamingRadixDeclusterCost(
+  EXPECT_EQ(ex.modeled_intermediate_bytes, 0u);
+  double expected = costmodel::RadixDeclusterGatherCost(
                         eng.hierarchy(), eng.cpu_costs(),
-                        w.expected_result_size, sizeof(value_t),
-                        ex.decluster_bits, ex.window_elems, ex.chunk_rows)
+                        w.expected_result_size, w.dsm_right.cardinality(),
+                        sizeof(value_t), ex.decluster_bits, ex.chunk_rows)
                         .seconds;
   EXPECT_DOUBLE_EQ(ex.decluster_cost.seconds, expected);
-  double materializing = costmodel::RadixDeclusterCost(
-                             eng.hierarchy(), eng.cpu_costs(),
-                             w.expected_result_size, sizeof(value_t),
-                             ex.decluster_bits, ex.window_elems)
-                             .seconds;
-  EXPECT_GE(ex.decluster_cost.seconds, materializing);
+  QuerySpec materialized = spec;
+  materialized.chunking = ChunkingPolicy::kMaterialize;
+  const Explanation& mat = eng.Prepare(w, materialized).Explain();
+  EXPECT_LT(ex.projection_cost.seconds, mat.projection_cost.seconds);
+  EXPECT_EQ(ex.join_cost.seconds, mat.join_cost.seconds);
+  EXPECT_EQ(ex.cluster_cost.seconds, mat.cluster_cost.seconds);
 }
 
 workload::JoinWorkload MakeVarcharW(size_t n, uint64_t seed,

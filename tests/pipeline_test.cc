@@ -1,24 +1,18 @@
-// Tests for the pipeline/ streaming chunked execution subsystem: chunk
-// planning, the memory gauge, the bounded-ring executor, the incremental
-// (chunked) decluster merge, and the end-to-end streamed projection —
-// including the headline invariant that peak intermediate bytes are
-// O(chunk_rows * columns), independent of N.
+// Tests for the pipeline/ streaming support and the streamed projection:
+// row-chunk planning, the memory gauge, and the end-to-end streamed
+// projection — including the headline invariant that it keeps no value
+// intermediate at all, where the materializing projector keeps exactly
+// one N-row clustered value column.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstring>
-#include <numeric>
 #include <vector>
 
-#include "cluster/radix_cluster.h"
-#include "common/rng.h"
 #include "common/thread_pool.h"
-#include "decluster/radix_decluster.h"
 #include "hardware/memory_hierarchy.h"
 #include "join/partitioned_hash_join.h"
 #include "pipeline/chunk.h"
-#include "pipeline/executor.h"
 #include "pipeline/memory_gauge.h"
 #include "project/dsm_post.h"
 #include "project/executor.h"
@@ -27,85 +21,15 @@
 namespace radix {
 namespace {
 
-using cluster::ClusterBorders;
-using pipeline::ChunkDesc;
 using pipeline::ChunkPlan;
 
-ClusterBorders BordersFromSizes(const std::vector<uint64_t>& sizes) {
-  ClusterBorders b;
-  b.offsets.push_back(0);
-  for (uint64_t s : sizes) b.offsets.push_back(b.offsets.back() + s);
-  return b;
-}
-
-TEST(PipelineChunkPlan, ClusterAlignedChunksPartitionTheClusters) {
-  Rng rng(11);
-  for (int round = 0; round < 20; ++round) {
-    size_t num_clusters = 1 + rng.Below(200);
-    std::vector<uint64_t> sizes(num_clusters);
-    for (auto& s : sizes) s = rng.Below(50);  // empties included
-    ClusterBorders borders = BordersFromSizes(sizes);
-    size_t target = 1 + rng.Below(300);
-    ChunkPlan plan = pipeline::MakeClusterAlignedChunks(borders, target);
-
-    EXPECT_EQ(plan.total_rows, borders.total());
-    size_t rows_seen = 0;
-    size_t next_cluster = SIZE_MAX;
-    size_t max_rows = 0;
-    for (size_t i = 0; i < plan.chunks.size(); ++i) {
-      const ChunkDesc& d = plan.chunks[i];
-      EXPECT_EQ(d.index, i);
-      // Cluster-aligned: chunk boundaries sit exactly on cluster borders.
-      EXPECT_EQ(d.row_begin, borders.start(d.cluster_begin));
-      EXPECT_EQ(d.row_end, borders.end(d.cluster_end - 1));
-      EXPECT_GT(d.rows(), 0u);
-      // Chunks only exceed the target when a single cluster does.
-      if (d.rows() > target) {
-        uint64_t biggest = 0;
-        for (size_t c = d.cluster_begin; c < d.cluster_end; ++c) {
-          biggest = std::max(biggest, borders.size(c));
-        }
-        EXPECT_GT(biggest, target);
-      }
-      if (i > 0) {
-        EXPECT_EQ(d.cluster_begin, next_cluster);
-      }
-      next_cluster = d.cluster_end;
-      rows_seen += d.rows();
-      max_rows = std::max(max_rows, d.rows());
-    }
-    EXPECT_EQ(rows_seen, borders.total());
-    EXPECT_EQ(plan.max_rows, max_rows);
-  }
-}
-
 TEST(PipelineChunkPlan, EdgeCases) {
-  // chunk_rows >= N: one chunk (the materializing execution as a plan).
-  ClusterBorders b = BordersFromSizes({3, 0, 5, 2});
-  ChunkPlan one = pipeline::MakeClusterAlignedChunks(b, 100);
-  ASSERT_EQ(one.chunks.size(), 1u);
-  EXPECT_EQ(one.chunks[0].rows(), 10u);
-  EXPECT_EQ(one.chunks[0].cluster_end, 4u);
-  // Same for target 0 (auto: single chunk).
-  EXPECT_EQ(pipeline::MakeClusterAlignedChunks(b, 0).chunks.size(), 1u);
-
-  // chunk_rows = 1: one chunk per non-empty cluster.
-  ChunkPlan fine = pipeline::MakeClusterAlignedChunks(b, 1);
-  ASSERT_EQ(fine.chunks.size(), 3u);
-  EXPECT_EQ(fine.max_rows, 5u);
-
-  // Empty borders / all-empty clusters.
-  EXPECT_TRUE(
-      pipeline::MakeClusterAlignedChunks(ClusterBorders{}, 8).chunks.empty());
-  EXPECT_TRUE(pipeline::MakeClusterAlignedChunks(BordersFromSizes({0, 0}), 8)
-                  .chunks.empty());
-
   // Row chunks: exact cover, last chunk short.
   ChunkPlan rows = pipeline::MakeRowChunks(10, 4);
   ASSERT_EQ(rows.chunks.size(), 3u);
   EXPECT_EQ(rows.chunks[2].row_begin, 8u);
   EXPECT_EQ(rows.chunks[2].row_end, 10u);
-  EXPECT_EQ(rows.max_rows, 4u);
+  EXPECT_EQ(rows.chunks[1].row_end, 8u);
   EXPECT_TRUE(pipeline::MakeRowChunks(0, 4).chunks.empty());
   EXPECT_EQ(pipeline::MakeRowChunks(10, 0).chunks.size(), 1u);
 }
@@ -123,113 +47,6 @@ TEST(PipelineMemory, GaugeTracksCurrentAndPeak) {
     EXPECT_GE(g.peak_bytes(), base + 3 * 100 * sizeof(value_t));
   }
   EXPECT_EQ(g.current_bytes(), base);  // destructor released
-}
-
-TEST(PipelineDecluster, ChunkedMergeMatchesFullMerge) {
-  // Splitting the clusters into arbitrary chunk ranges and merging each
-  // chunk with chunk-local values must reproduce the full RadixDecluster.
-  Rng rng(13);
-  for (int round = 0; round < 10; ++round) {
-    size_t n = 2000 + rng.Below(20000);
-    struct KeyPos {
-      oid_t key, pos;
-    };
-    std::vector<KeyPos> pairs(n);
-    for (size_t i = 0; i < n; ++i) {
-      pairs[i] = {static_cast<oid_t>(rng.Below(n)), static_cast<oid_t>(i)};
-    }
-    radix_bits_t sig = SignificantBits(n);
-    radix_bits_t bits = 1 + static_cast<radix_bits_t>(rng.Below(8));
-    if (bits > sig) bits = sig;
-    cluster::ClusterSpec spec{.total_bits = bits,
-                              .ignore_bits =
-                                  static_cast<radix_bits_t>(sig - bits),
-                              .passes = 1};
-    std::vector<KeyPos> scratch(n);
-    simcache::NoTracer nt;
-    auto radix_of = [](const KeyPos& p) -> uint64_t { return p.key; };
-    ClusterBorders borders = cluster::RadixClusterMultiPass(
-        pairs.data(), scratch.data(), n, radix_of, spec, nt);
-
-    std::vector<value_t> values(n);
-    std::vector<oid_t> positions(n);
-    for (size_t i = 0; i < n; ++i) {
-      values[i] = static_cast<value_t>(pairs[i].pos * 31 + 7);
-      positions[i] = pairs[i].pos;
-    }
-    size_t window = 1 + rng.Below(4096);
-    std::vector<value_t> expected(n, -1);
-    decluster::RadixDecluster<value_t>(values, positions,
-                                       decluster::MakeCursors(borders), window,
-                                       std::span<value_t>(expected));
-
-    size_t target = 1 + rng.Below(n);
-    ChunkPlan plan = pipeline::MakeClusterAlignedChunks(borders, target);
-    std::vector<value_t> result(n, -2);
-    for (const ChunkDesc& d : plan.chunks) {
-      // Chunk-local copy of the values, as the gather stage would produce.
-      std::vector<value_t> chunk_vals(values.begin() + d.row_begin,
-                                      values.begin() + d.row_end);
-      decluster::RadixDeclusterChunk<value_t>(
-          chunk_vals.data(), d.row_begin, positions,
-          decluster::MakeCursorsForRange(borders, d.cluster_begin,
-                                         d.cluster_end),
-          window, std::span<value_t>(result));
-    }
-    ASSERT_EQ(result, expected) << "round " << round << " target " << target;
-  }
-}
-
-// A stage that records which chunks it saw; used to test the executor's
-// scheduling contract rather than any query semantics.
-class CountingStage : public pipeline::ChunkStage {
- public:
-  explicit CountingStage(std::vector<std::atomic<int>>* counts)
-      : counts_(counts) {}
-  void Run(pipeline::WorkChunk& chunk) override {
-    (*counts_)[chunk.desc.index].fetch_add(1, std::memory_order_relaxed);
-  }
-
- private:
-  std::vector<std::atomic<int>>* counts_;
-};
-
-TEST(PipelineExecutor, RunsEveryChunkExactlyOnceAcrossConfigs) {
-  ChunkPlan plan = pipeline::MakeRowChunks(9973, 100);
-  for (size_t threads : {1u, 2u, 4u}) {
-    for (size_t ring : {0u, 1u, 2u, 8u}) {
-      ThreadPool pool(threads);
-      pipeline::ExecutorOptions opts;
-      opts.pool = &pool;
-      opts.ring_slots = ring;
-      std::vector<std::atomic<int>> gathered(plan.chunks.size());
-      std::vector<std::atomic<int>> sunk(plan.chunks.size());
-      CountingStage gather(&gathered);
-      CountingStage sink(&sunk);
-      pipeline::StreamingExecutor exec(opts);
-      pipeline::PipelineStats stats;
-      exec.Run(plan, gather, &sink, &stats);
-      EXPECT_EQ(stats.chunks, plan.chunks.size());
-      EXPECT_GE(stats.ring_slots, 1u);
-      if (ring != 0) {
-        EXPECT_LE(stats.ring_slots, ring);
-      }
-      for (size_t i = 0; i < plan.chunks.size(); ++i) {
-        ASSERT_EQ(gathered[i].load(), 1) << "threads=" << threads;
-        ASSERT_EQ(sunk[i].load(), 1) << "threads=" << threads;
-      }
-    }
-  }
-}
-
-TEST(PipelineExecutor, EmptyPlanIsANoOp) {
-  pipeline::ExecutorOptions opts;
-  pipeline::StreamingExecutor exec(opts);
-  std::vector<std::atomic<int>> counts;
-  CountingStage gather(&counts);
-  pipeline::PipelineStats stats;
-  exec.Run(ChunkPlan{}, gather, nullptr, &stats);
-  EXPECT_EQ(stats.chunks, 0u);
 }
 
 workload::JoinWorkload SmallWorkload(size_t n, size_t attrs, uint64_t seed) {
@@ -271,21 +88,23 @@ TEST(PipelineStreaming, ResultColumnsByteIdenticalToMaterializing) {
   }
 }
 
-// The acceptance-criteria test: peak intermediate bytes of the streamed
-// projection are bounded by ring_slots * chunk_rows * columns — and stay
-// flat when N quadruples — where the materializing projector's clustered
-// value buffer alone is N * sizeof(value_t). Radix bits are pinned so
-// cluster (and therefore chunk) granularity is deterministic; with auto
-// bits the partial-cluster spec keeps clusters around half the cache, so
-// the bound holds with chunk_rows ~ cache instead.
+// Peak intermediate bytes: the streamed projection fuses the decluster
+// side's gather into the merge and gathers the ordered sides straight into
+// the result, so it registers nothing with the gauge at any N or thread
+// count; the materializing projector's one intermediate is its clustered
+// value column, exactly N * sizeof(value_t) bytes (reused across columns).
 TEST(PipelineStreaming, PeakIntermediateBytesBoundedByChunkNotByN) {
   auto hw = hardware::MemoryHierarchy::Pentium4();
   constexpr size_t kChunkRows = 4096;
   constexpr size_t kPi = 3;
-  constexpr radix_bits_t kRightBits = 9;  // ~N/512 rows per cluster
+  constexpr radix_bits_t kRightBits = 9;
   pipeline::MemoryGauge& gauge = pipeline::MemoryGauge::Instance();
 
-  auto peak_for = [&](size_t n, size_t threads) {
+  struct Peaks {
+    size_t streamed;
+    size_t materialized;
+  };
+  auto peaks_for = [&](size_t n, size_t threads) {
     workload::JoinWorkload w = SmallWorkload(n, kPi + 1, 17);
     join::JoinIndex index = join::PartitionedHashJoin(
         w.dsm_left.key().span(), w.dsm_right.key().span(), hw);
@@ -296,42 +115,33 @@ TEST(PipelineStreaming, PeakIntermediateBytesBoundedByChunkNotByN) {
     popts.right_bits = kRightBits;
     ThreadPool pool(threads);
     popts.pool = &pool;
+    Peaks peaks;
     gauge.ResetPeak();
     size_t before = gauge.current_bytes();
     storage::DsmResult streamed = project::DsmPostProjectStreaming(
         index, w.dsm_left, w.dsm_right, kPi, kPi, hw, popts, kChunkRows);
-    size_t peak = gauge.peak_bytes() - before;
-    // While here: the streamed result matches the materializing reference.
+    peaks.streamed = gauge.peak_bytes() - before;
+    gauge.ResetPeak();
+    before = gauge.current_bytes();
     storage::DsmResult ref = project::DsmPostProject(
         index_ref, w.dsm_left, w.dsm_right, kPi, kPi, hw, popts);
+    peaks.materialized = gauge.peak_bytes() - before;
+    EXPECT_EQ(gauge.current_bytes(), before);  // the buffer was returned
+    // While here: the streamed result matches the materializing reference.
     EXPECT_EQ(streamed.cardinality, ref.cardinality);
     EXPECT_EQ(0, std::memcmp(streamed.right_columns[0].data(),
                              ref.right_columns[0].data(),
                              ref.right_columns[0].size_bytes()));
-    return peak;
+    return peaks;
   };
 
   for (size_t threads : {1u, 4u}) {
-    size_t small_n = 1u << 16;
-    size_t large_n = 1u << 18;
-    size_t peak_small = peak_for(small_n, threads);
-    size_t peak_large = peak_for(large_n, threads);
-
-    // Ring bound: auto ring is threads + 2 (threaded) or 1 (serial); a
-    // chunk overshoots kChunkRows by at most one cluster (N / 2^bits rows).
-    size_t ring = threads > 1 ? threads + 2 : 1;
-    size_t max_chunk = kChunkRows + (large_n >> kRightBits);
-    size_t bound = ring * kPi * max_chunk * sizeof(value_t);
-    EXPECT_GT(peak_small, 0u) << "threads=" << threads;
-    EXPECT_LE(peak_small, bound) << "threads=" << threads;
-    EXPECT_LE(peak_large, bound) << "threads=" << threads;
-    // Independent of N: quadrupling the relation leaves the peak exactly
-    // flat (the permutation keys cluster evenly, so chunk shapes are
-    // identical), where a materializing O(N * columns) intermediate would
-    // have quadrupled.
-    EXPECT_EQ(peak_small, peak_large) << "threads=" << threads;
-    EXPECT_LT(peak_large, kPi * large_n * sizeof(value_t) / 4)
-        << "threads=" << threads;
+    for (size_t n : {size_t{1} << 16, size_t{1} << 18}) {
+      Peaks peaks = peaks_for(n, threads);
+      EXPECT_EQ(peaks.streamed, 0u) << "n=" << n << " threads=" << threads;
+      EXPECT_EQ(peaks.materialized, n * sizeof(value_t))
+          << "n=" << n << " threads=" << threads;
+    }
   }
 }
 

@@ -191,8 +191,8 @@ TEST(ThreadPoolTest, ScopedPrioritySetsAmbientPriorityForSubmit) {
 
 TEST(ThreadPoolTest, WorkersInheritTaskPriorityForChainedSubmits) {
   // A task submitted at kHigh that itself Submits must stay in the high
-  // class — the streaming executor chains gather -> sink submissions and
-  // the whole chain has to keep the query's priority.
+  // class — a chain of dependent submissions has to keep the query's
+  // priority.
   ThreadPool pool(2);
   std::atomic<int> observed{-1};
   {
