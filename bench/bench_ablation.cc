@@ -32,8 +32,8 @@
 #include "decluster/paged_decluster.h"
 #include "decluster/radix_decluster.h"
 #include "decluster/window.h"
-#include "engine/engine.h"
 #include "pipeline/memory_gauge.h"
+#include "project/dsm_post.h"
 #include "project/executor.h"
 #include "workload/distributions.h"
 #include "workload/generator.h"
@@ -282,10 +282,10 @@ BENCHMARK(BM_ParallelDecluster)
 
 // ----------------------------- 6. materializing vs streaming projection
 // The Fig. 10/11 DSM post-projection query at paper scale (8M tuples),
-// executed materializing (RunQuery) vs streamed (RunQueryStreaming with a
-// cache-sized chunk). Checksums must agree; the streaming row additionally
-// reports peak intermediate bytes (MemoryGauge; 0 when streamed) and the
-// streamed sections' wall time.
+// executed by RunQuery materializing (chunk_rows 0) vs streamed (a
+// cache-sized result range for the d side). Checksums must agree; the
+// streaming row additionally reports peak intermediate bytes (MemoryGauge;
+// 0 when streamed) and the streamed decluster phase's wall time.
 const workload::JoinWorkload& AblationQueryWorkload() {
   static const workload::JoinWorkload w = [] {
     workload::JoinWorkloadSpec spec;
@@ -299,28 +299,30 @@ const workload::JoinWorkload& AblationQueryWorkload() {
   return w;
 }
 
-engine::QuerySpec AblationQuerySpec(engine::ChunkingPolicy chunking) {
-  engine::QuerySpec spec;
-  spec.pi_left = 3;
-  spec.pi_right = 3;
-  spec.plan_sides = false;  // pin c/d so both variants take the full path
-  spec.left = project::SideStrategy::kClustered;
-  spec.right = project::SideStrategy::kDecluster;
-  spec.chunking = chunking;
-  return spec;
+project::QueryOptions AblationQueryOptions(size_t threads, size_t chunk_rows) {
+  project::QueryOptions options;
+  options.pi_left = 3;
+  options.pi_right = 3;
+  options.plan_sides = false;  // pin c/d so both variants take the full path
+  options.left = project::SideStrategy::kClustered;
+  options.right = project::SideStrategy::kDecluster;
+  options.pool = radix::bench::BenchEngine(threads).pool();
+  options.chunk_rows = chunk_rows;
+  return options;
 }
 
 void BM_QueryMaterializing(benchmark::State& state) {
   const workload::JoinWorkload& w = AblationQueryWorkload();
   size_t threads = static_cast<size_t>(state.range(0));
-  engine::QuerySpec spec =
-      AblationQuerySpec(engine::ChunkingPolicy::kMaterialize);
+  const project::QueryOptions options =
+      AblationQueryOptions(threads, /*chunk_rows=*/0);
   uint64_t checksum = 0;
   size_t threads_used = 1;
   project::PhaseBreakdown phases;
   for (auto _ : state) {
-    project::QueryRun run = radix::bench::ExecuteOrExit(
-        radix::bench::BenchEngine(threads), w, spec);
+    project::QueryRun run = project::RunQuery(
+        w, project::JoinStrategy::kDsmPostDecluster, options,
+        radix::bench::BenchHw());
     checksum = run.checksum;
     phases = run.phases;
     threads_used = run.threads_used;
@@ -341,8 +343,8 @@ BENCHMARK(BM_QueryMaterializing)
 void BM_QueryStreaming(benchmark::State& state) {
   const workload::JoinWorkload& w = AblationQueryWorkload();
   size_t threads = static_cast<size_t>(state.range(0));
-  engine::QuerySpec spec = AblationQuerySpec(engine::ChunkingPolicy::kStream);
-  spec.chunk_rows = 0;  // auto: cache-sized chunks
+  const project::QueryOptions options = AblationQueryOptions(
+      threads, project::DefaultChunkRows(radix::bench::BenchHw()));
   pipeline::MemoryGauge& gauge = pipeline::MemoryGauge::Instance();
   uint64_t checksum = 0;
   size_t threads_used = 1;
@@ -351,8 +353,9 @@ void BM_QueryStreaming(benchmark::State& state) {
   for (auto _ : state) {
     gauge.ResetPeak();
     size_t before = gauge.current_bytes();
-    project::QueryRun run = radix::bench::ExecuteOrExit(
-        radix::bench::BenchEngine(threads), w, spec);
+    project::QueryRun run = project::RunQuery(
+        w, project::JoinStrategy::kDsmPostDecluster, options,
+        radix::bench::BenchHw());
     peak = gauge.peak_bytes() - before;
     checksum = run.checksum;
     phases = run.phases;

@@ -6,6 +6,8 @@
 // cardinality, hit rate, selectivity, projection widths, and the varchar
 // distribution (uniform / Zipf-skewed / empty-heavy), so the fuzzer walks
 // the same parameter space as Figs. 10-13 but off the grid the tests pin.
+// A last run pins the DSM post-projection's sides (u/u, c/u, c/d, s/d) and
+// decodes the d side's streamed range (0 = materialize, 1, or 1..2N).
 
 #include <cstdint>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "hardware/memory_hierarchy.h"
 #include "project/checksum.h"
 #include "project/executor.h"
+#include "project/planner.h"
 #include "project/strategy.h"
 #include "workload/generator.h"
 
@@ -23,6 +26,7 @@ namespace {
 
 using radix::value_t;
 using radix::project::JoinStrategy;
+using radix::project::SideStrategy;
 
 /// The nested-loop oracle from tests/varchar_query_test.cc, verbatim in
 /// construction: per-row digests over (left fixed, right fixed, left
@@ -109,5 +113,25 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     FUZZ_CHECK(run.checksum == expected,
                radix::project::JoinStrategyName(strategy));
   }
+
+  // Decoded after every field above, so the committed corpus keeps its
+  // meaning (an exhausted stream decodes u/u, materializing).
+  const radix::project::PinnedSides sides[] = {
+      {SideStrategy::kUnsorted, SideStrategy::kUnsorted},
+      {SideStrategy::kClustered, SideStrategy::kUnsorted},
+      {SideStrategy::kClustered, SideStrategy::kDecluster},
+      {SideStrategy::kSorted, SideStrategy::kDecluster}};
+  const radix::project::PinnedSides& pinned = sides[in.InRange(0, 3)];
+  const uint64_t range_kind = in.InRange(0, 2);
+  const size_t range_rows = in.SizeInRange(1, 2 * ws.cardinality);
+  radix::project::QueryOptions popt = opt;
+  popt.plan_sides = false;
+  popt.left = pinned.left;
+  popt.right = pinned.right;
+  popt.chunk_rows = range_kind == 0 ? 0 : (range_kind == 1 ? 1 : range_rows);
+  const radix::project::QueryRun run = radix::project::RunQuery(
+      w, JoinStrategy::kDsmPostDecluster, popt, hw);
+  FUZZ_CHECK(run.result_cardinality == expected_rows, "pinned DSM-post");
+  FUZZ_CHECK(run.checksum == expected, "pinned DSM-post");
   return 0;
 }

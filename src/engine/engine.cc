@@ -182,29 +182,15 @@ PreparedQuery Engine::Prepare(const workload::JoinWorkload& workload,
       ex.side_options.right_bits = spec.right_bits;
       ex.side_options.window_elems = spec.window_elems;
 
-      // Per-query chunking overrides beat the engine's session policy.
-      const ChunkingPolicy policy =
-          spec.chunking == ChunkingPolicy::kEngineDefault ? config_.chunking
-                                                          : spec.chunking;
       if (ex.side_options.right == SideStrategy::kUnsorted) {
-        // No value intermediates; an explicit kStream policy still streams
-        // the gathers (chunked, zero-copy), which changes nothing modeled.
-        // Varchar queries are the exception: the executor falls back to
-        // materializing for them on every path, so Explain must too.
-        ex.streaming =
-            policy == ChunkingPolicy::kStream && ex.varchar_cols == 0;
-        if (ex.streaming) {
-          ex.chunk_rows = spec.chunk_rows != 0 ? spec.chunk_rows
-                                               : project::DefaultChunkRows(hw);
-          ex.mode_reason = "policy: stream";
-        } else if (policy == ChunkingPolicy::kStream) {
-          ex.mode_reason =
-              "varchar columns force materializing (no streaming path for "
-              "variable-size chunks)";
-        } else {
-          ex.mode_reason = "u right side materializes no value intermediates";
-        }
+        // Only a d side differs between the modes, so a u side never
+        // streams, whatever the policy.
+        ex.mode_reason = "u right side materializes no value intermediates";
       } else {
+        // Per-query chunking overrides beat the engine's session policy.
+        const ChunkingPolicy policy =
+            spec.chunking == ChunkingPolicy::kEngineDefault ? config_.chunking
+                                                            : spec.chunking;
         const project::DeclusterPlan right = project::PlanDeclusterSide(
             n_index, n_right, sizeof(value_t), spec.right_bits,
             spec.window_elems, hw);
@@ -212,18 +198,8 @@ PreparedQuery Engine::Prepare(const workload::JoinWorkload& workload,
         ex.decluster_passes = right.spec.passes;
         ex.window_elems = right.window_elems;
         PlanExecutionMode(spec, policy, n_index, &ex);
-        if (ex.varchar_cols > 0 && ex.streaming) {
-          // Mirror the executor: varchar projections have no streaming
-          // path yet, so the plan must not claim one.
-          ex.streaming = false;
-          ex.chunk_rows = 0;
-          ex.modeled_intermediate_bytes = n_index * sizeof(value_t);
-          ex.mode_reason =
-              "varchar columns force materializing (no streaming path for "
-              "variable-size chunks)";
-        }
-        // The clustered varchar intermediate (offsets + heap) counts
-        // toward the materialized footprint.
+        // The clustered varchar intermediate (offsets + heap) is kept in
+        // either mode.
         ex.modeled_intermediate_bytes +=
             n_index * (sizeof(uint64_t) + avg_var_r) * var_r;
       }
@@ -239,7 +215,7 @@ PreparedQuery Engine::Prepare(const workload::JoinWorkload& workload,
       in.avg_varchar_left_len = avg_var_l;
       in.avg_varchar_right_len = avg_var_r;
       in.sides = ex.side_options;
-      in.chunk_rows = ex.chunk_rows;
+      in.sides.chunk_rows = ex.chunk_rows;
       project::DsmPostCost(in, hw, cpu,
                            {&ex.join_cost, &ex.cluster_cost,
                             &ex.projection_cost, &ex.decluster_cost,
@@ -495,7 +471,7 @@ Status Engine::ExecutePrepared(const PreparedQuery& query,
   } release_on_exit{admission_, admission_bytes};
 
   // Grains this query enqueues on the shared pool — kernel ParallelFor
-  // morsels and streamed chunk stages alike — inherit its class.
+  // morsels and streamed result ranges alike — inherit its class.
   ThreadPool::ScopedPriority priority(ex.high_priority
                                           ? ThreadPool::Priority::kHigh
                                           : ThreadPool::Priority::kNormal);
@@ -522,11 +498,7 @@ Status Engine::ExecutePrepared(const PreparedQuery& query,
   options.pool = pool_.get();
   options.chunk_rows = ex.chunk_rows;
   options.gauge = config_.gauge;
-  *out = ex.streaming
-             ? project::RunQueryStreaming(*query.workload_, spec.strategy,
-                                          options, hw_)
-             : project::RunQuery(*query.workload_, spec.strategy, options,
-                                 hw_);
+  *out = project::RunQuery(*query.workload_, spec.strategy, options, hw_);
   queries_executed_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }

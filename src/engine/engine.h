@@ -50,10 +50,12 @@ enum class ChunkingPolicy : uint8_t {
   /// Planner decides: stream when the materializing path's clustered
   /// intermediate would exceed EngineConfig::streaming_budget_bytes.
   kAuto,
-  /// Always materialize full intermediates (project::RunQuery).
+  /// Always materialize: a d right side gathers into a clustered value
+  /// column, then Radix-Declusters it.
   kMaterialize,
-  /// Always stream (project::RunQueryStreaming): row-chunked gathers and
-  /// the fused RadixDeclusterGather, no value intermediate.
+  /// Always stream a d right side: the fused RadixDeclusterGather drains
+  /// it by result range (QueryOptions::chunk_rows), no value
+  /// intermediate. A u right side has nothing to stream and materializes.
   kStream,
 };
 
@@ -147,10 +149,10 @@ struct QuerySpec {
   /// strategy declusters right-side varchars with the paper's Fig. 12
   /// three-phase paged scheme (Explain() reports its cost as the
   /// paged-decluster term), other strategies gather them positionally from
-  /// result-order oids. Varchar queries always materialize (no streaming
-  /// path for variable-size chunks yet) and their string bytes are folded
-  /// into QueryRun::checksum, so equal checksums assert byte-identical
-  /// strings across strategies.
+  /// result-order oids. A streamed query streams its fixed d columns only;
+  /// its varchar columns take the Fig. 12 path in either mode. String
+  /// bytes are folded into QueryRun::checksum, so equal checksums assert
+  /// byte-identical strings across strategies.
   size_t pi_varchar_left = 0;
   size_t pi_varchar_right = 0;
   /// Let the planner pick the DSM-post side strategies (default);
@@ -167,9 +169,8 @@ struct QuerySpec {
   size_t window_elems = 0;
   /// Execution-mode override; kEngineDefault defers to the EngineConfig.
   ChunkingPolicy chunking = ChunkingPolicy::kEngineDefault;
-  /// Streamed chunk size override in rows (the row chunks of the ordered
-  /// gathers and the fused decluster's result ranges); 0 = cache-sized
-  /// (project::DefaultChunkRows).
+  /// Streamed result-range override in rows (the fused decluster's result
+  /// ranges); 0 = cache-sized (project::DefaultChunkRows).
   size_t chunk_rows = 0;
 };
 
@@ -187,8 +188,8 @@ struct Explanation {
   /// executor's post-order.
   std::string plan_code = "-";
   /// Why the chosen execution mode was chosen — in particular why
-  /// streaming was *rejected* (policy, budget fit, or varchar columns
-  /// forcing materializing). Surfaced by ToString().
+  /// streaming was *rejected* (policy, budget fit, or a u right side with
+  /// nothing to stream). Surfaced by ToString().
   std::string mode_reason;
   /// Plan-tree prepares only: true, plus the optimizer's per-edge summary
   /// ("t0*t1: c/d (est N rows)") and the individual edge codes in
@@ -198,12 +199,14 @@ struct Explanation {
   std::vector<std::string> edge_codes;
   bool easy = false;  ///< planner classified both columns as cache-resident
   /// Resolved per-side options the executor will run with (DSM-post only).
+  /// Their chunk_rows stays 0: the streamed range is `chunk_rows` below.
   project::DsmPostOptions side_options;
   /// Resolved decluster-side radix plan (DSM-post with a d right side).
   radix_bits_t decluster_bits = 0;
   uint32_t decluster_passes = 0;
   size_t window_elems = 0;
-  /// Chosen execution mode and chunk size.
+  /// Chosen execution mode and, when streaming, the d side's result range
+  /// in rows (0 when materializing).
   bool streaming = false;
   size_t chunk_rows = 0;
   size_t threads = 1;
@@ -215,7 +218,8 @@ struct Explanation {
   bool high_priority = false;
   /// Peak bytes of the projection phase's value intermediates under the
   /// chosen mode: N * sizeof(value_t) for a materializing decluster side,
-  /// 0 when streamed or when the strategy keeps no side intermediate.
+  /// 0 when streamed or when the strategy keeps no side intermediate, plus
+  /// a d side's clustered varchar columns (offsets + heap) in either mode.
   size_t modeled_intermediate_bytes = 0;
   /// Varchar projection columns (left + right) and their mean value length
   /// in bytes, as planned from the workload.
@@ -252,10 +256,10 @@ class PreparedQuery {
   Explanation Explain() && { return std::move(explanation_); }
   const QuerySpec& spec() const { return spec_; }
 
-  /// Run the query: project::RunQuery (or RunQueryStreaming) with the
-  /// explained plan on the engine's pool, so it spawns no threads (the
-  /// pool is created at startup). The explained sides, execution mode and
-  /// chunk size run verbatim; radix bits and window re-derive at
+  /// Run the query: project::RunQuery with the explained plan on the
+  /// engine's pool, so it spawns no threads (the pool is created at
+  /// startup). The explained sides and streamed range (chunk_rows, 0 when
+  /// materializing) run verbatim; radix bits and window re-derive at
   /// execution from the actual join cardinality (Explain() models them
   /// from the workload's estimate) under the same rules.
   ///

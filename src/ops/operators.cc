@@ -256,8 +256,8 @@ void RadixJoinOp::Materialize() {
     project::detail::ProjectIndexRight(
         index, /*keep_index=*/false, physical_.right, cols, outs, rrows,
         *ctx_->hw, physical_.right_bits, /*window_elems=*/0,
-        /*phases=*/nullptr, pool, /*var_columns=*/{}, /*var_out=*/nullptr,
-        ctx_->gauge);
+        /*chunk_rows=*/0, /*phases=*/nullptr, pool, /*var_columns=*/{},
+        /*var_out=*/nullptr, ctx_->gauge);
   }
 
   // The children are fully consumed; release their arenas before streaming.

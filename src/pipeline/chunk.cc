@@ -1,20 +1,8 @@
 #include "pipeline/chunk.h"
 
-#include <algorithm>
-
 #include "pipeline/memory_gauge.h"
 
 namespace radix::pipeline {
-
-ChunkPlan MakeRowChunks(size_t n, size_t target_rows) {
-  ChunkPlan plan;
-  if (n == 0) return plan;
-  if (target_rows == 0) target_rows = n;
-  for (size_t begin = 0; begin < n; begin += target_rows) {
-    plan.chunks.push_back({begin, std::min(n, begin + target_rows)});
-  }
-  return plan;
-}
 
 ChunkArena::~ChunkArena() {
   if (gauge_ != nullptr) gauge_->Sub(data_.size_bytes());

@@ -2,7 +2,6 @@
 #define RADIX_PIPELINE_CHUNK_H_
 
 #include <cstddef>
-#include <vector>
 
 #include "common/macros.h"
 #include "common/types.h"
@@ -11,23 +10,6 @@
 namespace radix::pipeline {
 
 class MemoryGauge;
-
-/// One unit of streamed work: the rows [row_begin, row_end) of an
-/// order-preserving stream.
-struct ChunkDesc {
-  size_t row_begin = 0;
-  size_t row_end = 0;
-};
-
-/// The full chunk schedule of one streamed gather.
-struct ChunkPlan {
-  std::vector<ChunkDesc> chunks;
-};
-
-/// Split a plain row range [0, n) into fixed-size chunks; the plan for
-/// order-preserving streams (left projections, the right side's "u"
-/// strategy) where no clustering is involved.
-ChunkPlan MakeRowChunks(size_t n, size_t target_rows);
 
 /// A gauge-tracked block of `columns` value buffers of `capacity_rows`
 /// each: the operator layer's chunk buffers and the materializing decluster

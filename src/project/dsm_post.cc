@@ -232,44 +232,53 @@ using detail::SpecFor;
 
 /// The decluster side after its Radix-Cluster (paper Fig. 4): positional-
 /// join fetches each column's values in clustered order (cache-friendly);
-/// Radix-Decluster puts them back in result order.
+/// Radix-Decluster puts them back in result order. A non-zero `chunk_rows`
+/// fuses the two: RadixDeclusterGather fetches each value inside the merge,
+/// one result range per grain, so no value buffer exists.
 void ProjectClustered(const ClusteredIds& c,
                       const std::vector<std::span<const value_t>>& columns,
                       const std::vector<std::span<value_t>>& out,
                       const hardware::MemoryHierarchy& hw, size_t window_elems,
-                      PhaseBreakdown* ph, ThreadPool* pool,
+                      size_t chunk_rows, PhaseBreakdown* ph, ThreadPool* pool,
                       pipeline::MemoryGauge* gauge,
                       const std::vector<const storage::VarcharColumn*>&
                           var_columns,
                       std::vector<storage::VarcharColumn>* var_out) {
   const size_t n = c.ids.size();
   Timer timer;
-  size_t window = window_elems;
-  if (window == 0) {
-    window = decluster::WindowPolicy::ChooseWindowElems(
-        hw, sizeof(value_t), c.borders.num_clusters(), n);
-  }
-  // The clustered value column is the query's one N-sized value
-  // intermediate; `gauge` measures what admission reserved for it.
-  pipeline::ChunkArena clust_arena;
-  clust_arena.Reset(1, n, gauge);
-  const std::span<value_t> clust_values(clust_arena.column(0), n);
-  for (size_t a = 0; a < columns.size(); ++a) {
-    timer.Reset();
-    join::PositionalJoinColumns<value_t>(c.ids, {columns[a]}, {clust_values},
-                                         pool);
-    ph->projection_seconds += timer.ElapsedSeconds();
-    timer.Reset();
-    std::vector<decluster::ClusterCursor> cursors =
-        decluster::MakeCursors(c.borders);
-    if (pool != nullptr) {
-      decluster::RadixDeclusterParallel<value_t>(
-          clust_values, c.result_pos, cursors, window, out[a], *pool);
-    } else {
-      decluster::RadixDecluster<value_t>(clust_values, c.result_pos,
-                                         std::move(cursors), window, out[a]);
+  if (chunk_rows != 0) {
+    decluster::RadixDeclusterGather<value_t>(
+        columns, c.ids, c.result_pos, decluster::MakeCursors(c.borders),
+        chunk_rows, out, pool, &ph->decluster_seconds);
+    ph->pipeline_wall_seconds += timer.ElapsedSeconds();
+  } else {
+    size_t window = window_elems;
+    if (window == 0) {
+      window = decluster::WindowPolicy::ChooseWindowElems(
+          hw, sizeof(value_t), c.borders.num_clusters(), n);
     }
-    ph->decluster_seconds += timer.ElapsedSeconds();
+    // The clustered value column is the query's one N-sized value
+    // intermediate; `gauge` measures what admission reserved for it.
+    pipeline::ChunkArena clust_arena;
+    clust_arena.Reset(1, n, gauge);
+    const std::span<value_t> clust_values(clust_arena.column(0), n);
+    for (size_t a = 0; a < columns.size(); ++a) {
+      timer.Reset();
+      join::PositionalJoinColumns<value_t>(c.ids, {columns[a]},
+                                           {clust_values}, pool);
+      ph->projection_seconds += timer.ElapsedSeconds();
+      timer.Reset();
+      std::vector<decluster::ClusterCursor> cursors =
+          decluster::MakeCursors(c.borders);
+      if (pool != nullptr) {
+        decluster::RadixDeclusterParallel<value_t>(
+            clust_values, c.result_pos, cursors, window, out[a], *pool);
+      } else {
+        decluster::RadixDecluster<value_t>(clust_values, c.result_pos,
+                                           std::move(cursors), window, out[a]);
+      }
+      ph->decluster_seconds += timer.ElapsedSeconds();
+    }
   }
   // Varchar columns run the three-phase scheme of paper Fig. 12: fetch
   // in clustered order, then decluster lengths -> prefix-sum -> bytes.
@@ -291,7 +300,11 @@ void ProjectClustered(const ClusteredIds& c,
     }
     var_out->push_back(decluster::RadixDeclusterVarchar(
         clustered, c.result_pos, c.borders, vwindow));
-    ph->decluster_seconds += timer.ElapsedSeconds();
+    const double seconds = timer.ElapsedSeconds();
+    ph->decluster_seconds += seconds;
+    // A streamed decluster phase counts by its wall time (PhaseBreakdown::
+    // total()); the serial varchar merge's busy time is its wall time.
+    if (chunk_rows != 0) ph->pipeline_wall_seconds += seconds;
   }
 }
 
@@ -304,7 +317,8 @@ void ProjectIndexRight(
     const std::vector<std::span<const value_t>>& columns,
     const std::vector<std::span<value_t>>& out, size_t column_cardinality,
     const hardware::MemoryHierarchy& hw, radix_bits_t bits,
-    size_t window_elems, PhaseBreakdown* phases, ThreadPool* pool,
+    size_t window_elems, size_t chunk_rows, PhaseBreakdown* phases,
+    ThreadPool* pool,
     const std::vector<const storage::VarcharColumn*>& var_columns,
     std::vector<storage::VarcharColumn>* var_out,
     pipeline::MemoryGauge* gauge) {
@@ -331,8 +345,8 @@ void ProjectIndexRight(
   ClusteredIds c = ClusterIndexRight(index.span(), spec, pool);
   if (!keep_index) index = join::JoinIndex();
   ph->cluster_seconds += timer.ElapsedSeconds();
-  ProjectClustered(c, columns, out, hw, window_elems, ph, pool, gauge,
-                   var_columns, var_out);
+  ProjectClustered(c, columns, out, hw, window_elems, chunk_rows, ph, pool,
+                   gauge, var_columns, var_out);
 }
 
 }  // namespace detail
@@ -371,8 +385,8 @@ void ProjectSide(std::vector<oid_t>& ids, SideStrategy strategy,
                                  column_cardinality, hw, bits);
       ClusteredIds c = detail::ClusterIdsWithPositions(ids, spec, pool);
       ph->cluster_seconds += timer.ElapsedSeconds();
-      ProjectClustered(c, columns, out, hw, window_elems, ph, pool,
-                       /*gauge=*/nullptr, {}, nullptr);
+      ProjectClustered(c, columns, out, hw, window_elems, /*chunk_rows=*/0,
+                       ph, pool, /*gauge=*/nullptr, {}, nullptr);
       return;
     }
   }
@@ -452,8 +466,9 @@ storage::DsmResult ProjectShards(join::JoinShards shards,
   detail::ProjectIndexRight(index, /*keep_index=*/ordered != nullptr,
                             options.right, right_cols, right_out,
                             right.cardinality(), hw, options.right_bits,
-                            options.window_elems, ph, pool, var.right,
-                            &result.right_varchars, options.gauge);
+                            options.window_elems, options.chunk_rows, ph,
+                            pool, var.right, &result.right_varchars,
+                            options.gauge);
   if (ordered != nullptr) *ordered = std::move(index);
   return result;
 }

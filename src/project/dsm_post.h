@@ -33,6 +33,14 @@ struct DsmPostOptions {
   radix_bits_t right_bits = kAuto;
   /// Insertion window in elements; 0 = WindowPolicy default.
   size_t window_elems = 0;
+  /// How a d right side merges. 0 = materialize: gather each column in
+  /// clustered order into a value buffer, then Radix-Decluster it with the
+  /// insertion window. Otherwise the d side's result range in rows: the
+  /// positional join runs inside the merge (decluster::RadixDeclusterGather),
+  /// one result range per grain, so no value buffer exists and the window
+  /// is not used. Every other step, the varchar columns included, is the
+  /// same in both modes.
+  size_t chunk_rows = 0;
   /// Caller-owned pool to run the parallel kernels on (the engine's
   /// session pool). nullptr (default) or a one-thread pool runs the exact
   /// serial kernels — required for MemTracer runs; a larger pool runs the
@@ -41,8 +49,8 @@ struct DsmPostOptions {
   ThreadPool* pool = nullptr;
   /// Gauge the materializing decluster side's clustered value column
   /// (N * sizeof(value_t) bytes) registers with; nullptr = the process-wide
-  /// pipeline::MemoryGauge::Instance(). The streamed projector keeps no
-  /// value intermediate and registers nothing.
+  /// pipeline::MemoryGauge::Instance(). A streamed d side (chunk_rows != 0)
+  /// keeps no value intermediate and registers nothing.
   pipeline::MemoryGauge* gauge = nullptr;
 };
 
@@ -59,7 +67,10 @@ struct VarcharProjection {
 /// Execute the projection phase. `index` is consumed (may be reordered in
 /// place; after the call it holds each result row's oid pair in result
 /// order). Projects attributes 1..pi of each relation. Returns the result
-/// columns plus phase timings.
+/// columns plus phase timings; the result columns are byte-identical
+/// whatever options.chunk_rows is. A streamed d side reports the fused
+/// merge's busy time in phases->decluster_seconds and the wall time of its
+/// decluster phase in phases->pipeline_wall_seconds.
 ///
 /// The glue between the kernels runs on the pool too: the left reorder
 /// scatters into a fresh array and keeps whichever buffer its last pass
@@ -112,40 +123,14 @@ void ProjectSide(std::vector<oid_t>& ids, SideStrategy strategy,
                  size_t window_elems, PhaseBreakdown* phases,
                  ThreadPool* pool = nullptr);
 
-/// Streamed DSM post-projection: identical contract and byte-identical
-/// result columns to DsmPostProject, but no value intermediate. The
-/// order-preserving gathers (left side, a u right side) run over row chunks
-/// of `chunk_rows` straight into the result; a d right side runs
-/// decluster::RadixDeclusterGather, the positional join fused into the
-/// Radix-Decluster merge, with result ranges of `chunk_rows` rows in place
-/// of the insertion window (options.window_elems is not used).
-/// chunk_rows == 0 picks a cache-sized range (DefaultChunkRows). Phase
-/// fields of `phases` accumulate busy time (the fused kernel's in
-/// decluster_seconds); the streamed sections' wall time lands in
-/// phases->pipeline_wall_seconds.
-storage::DsmResult DsmPostProjectStreaming(
-    join::JoinIndex& index, const storage::DsmRelation& left,
-    const storage::DsmRelation& right, size_t pi_left, size_t pi_right,
-    const hardware::MemoryHierarchy& hw, const DsmPostOptions& options,
-    size_t chunk_rows, PhaseBreakdown* phases = nullptr);
-
-/// DsmPostProjectStreaming straight off a join's shards; see the shards
-/// overload of DsmPostProject.
-storage::DsmResult DsmPostProjectStreaming(
-    join::JoinShards shards, const storage::DsmRelation& left,
-    const storage::DsmRelation& right, size_t pi_left, size_t pi_right,
-    const hardware::MemoryHierarchy& hw, const DsmPostOptions& options,
-    size_t chunk_rows, PhaseBreakdown* phases = nullptr);
-
-/// Auto chunk size: one column's result range fills the target cache, so
-/// the fused merge's random writes stay cache-resident.
+/// A cache-sized streamed range: one column's result range fills the target
+/// cache, so the fused merge's random writes stay cache-resident.
 size_t DefaultChunkRows(const hardware::MemoryHierarchy& hw);
 
 namespace detail {
 
-/// Shared plumbing between the materializing and streaming projectors —
-/// both must reorder the index identically so their outputs stay
-/// byte-identical.
+/// Plumbing shared by DsmPostProject, the ops/ join operator and the
+/// benchmarks that replay the projector's steps.
 
 cluster::ClusterSpec SpecFor(SideStrategy strategy, size_t index_tuples,
                              size_t column_cardinality,
@@ -183,7 +168,7 @@ ClusteredIds ClusterIdsWithPositions(std::span<const oid_t> ids,
 
 /// The right side's d pack off a join index: (index[i].right, i), packed
 /// in row slices on `pool` straight from the index, then clustered. The
-/// one helper behind the materializing, streaming and ops/ projectors.
+/// one helper behind DsmPostProject and the ops/ join.
 ClusteredIds ClusterIndexRight(std::span<const cluster::OidPair> index,
                                const cluster::ClusterSpec& spec,
                                ThreadPool* pool);
@@ -209,21 +194,25 @@ void ReorderIndexLeft(join::JoinIndex& index, size_t left_cardinality,
 
 /// The right side of a post-projection, in the result order `index` fixes:
 /// u gathers straight off the index's right oids; d clusters them
-/// (ClusterIndexRight), gathers in clustered order and Radix-Declusters
-/// into `out`. Unless `keep_index`, d frees `index` once its oids are
-/// packed, so the index and the decluster's buffers are not resident at
-/// the same time. s and c would reorder the result, so they run as d (paper
-/// §4.1). `var_columns` / `var_out` carry the side's variable-size
-/// projections (paper §5): gathered off the index for u, or run through
-/// the three-phase varchar Radix-Decluster for d. `pool` may be null
-/// (serial kernels), and so may `phases`. d's clustered value column
-/// registers its bytes with `gauge` (nullptr = MemoryGauge::Instance()).
+/// (ClusterIndexRight), then either gathers in clustered order and
+/// Radix-Declusters into `out` (chunk_rows == 0) or drains result ranges
+/// of `chunk_rows` rows through the fused gather + merge (see
+/// DsmPostOptions::chunk_rows). Unless `keep_index`, d frees `index` once
+/// its oids are packed, so the index and the decluster's buffers are not
+/// resident at the same time. s and c would reorder the result, so they
+/// run as d (paper §4.1). `var_columns` / `var_out` carry the side's
+/// variable-size projections (paper §5): gathered off the index for u, or
+/// run through the three-phase varchar Radix-Decluster for d, in either
+/// mode. `pool` may be null (serial kernels), and so may `phases`. A
+/// materializing d side's clustered value column registers its bytes with
+/// `gauge` (nullptr = MemoryGauge::Instance()).
 void ProjectIndexRight(
     join::JoinIndex& index, bool keep_index, SideStrategy strategy,
     const std::vector<std::span<const value_t>>& columns,
     const std::vector<std::span<value_t>>& out, size_t column_cardinality,
     const hardware::MemoryHierarchy& hw, radix_bits_t bits,
-    size_t window_elems, PhaseBreakdown* phases, ThreadPool* pool,
+    size_t window_elems, size_t chunk_rows, PhaseBreakdown* phases,
+    ThreadPool* pool,
     const std::vector<const storage::VarcharColumn*>& var_columns = {},
     std::vector<storage::VarcharColumn>* var_out = nullptr,
     pipeline::MemoryGauge* gauge = nullptr);

@@ -18,8 +18,8 @@
 namespace radix::project {
 
 // QueryOptions re-declares the auto sentinel so its header stays light;
-// the two must never drift apart (JoinAndPlanDsmPost copies the bits
-// fields verbatim into DsmPostOptions, where SpecFor compares to kAuto).
+// the two must never drift apart (RunQuery copies the bits fields
+// verbatim into DsmPostOptions, where SpecFor compares to kAuto).
 static_assert(QueryOptions::kAutoBits == DsmPostOptions::kAuto);
 
 namespace {
@@ -91,44 +91,6 @@ std::vector<value_t> ExtractNsmKeys(const storage::NsmRelation& rel) {
   return keys;
 }
 
-/// Shared prologue of the materializing and streaming kDsmPostDecluster
-/// paths: run the join phase and resolve the per-side plan. Kept in one
-/// place so the two entry points can never plan differently. The plan
-/// needs only the base cardinalities, so the index is not materialized
-/// here: the projector turns the shards into the index in the planned left
-/// order (a c/d left side fuses the concatenation into its first
-/// Radix-Cluster pass).
-join::JoinShards JoinAndPlanDsmPost(const workload::JoinWorkload& w,
-                                    const QueryOptions& options,
-                                    const hardware::MemoryHierarchy& hw,
-                                    ThreadPool* pool, QueryRun* run,
-                                    DsmPostOptions* popts) {
-  Timer join_timer;
-  join::PartitionedHashJoinOptions jopts;
-  jopts.pool = pool;
-  join::JoinShards shards = join::PartitionedHashJoinShards(
-      w.dsm_left.key().span(), w.dsm_right.key().span(), hw, jopts);
-  run->phases.join_seconds = join_timer.ElapsedSeconds();
-
-  const PinnedSides pinned{options.left, options.right};
-  Plan plan = PlanDsmPost(
-      w.dsm_left.cardinality(), w.dsm_right.cardinality(), options.pi_left,
-      hw, options.pi_varchar_left, options.pi_varchar_right,
-      workload::AverageVarcharBytes(w.left_varchars, options.pi_varchar_left),
-      workload::AverageVarcharBytes(w.right_varchars,
-                                    options.pi_varchar_right),
-      options.plan_sides ? nullptr : &pinned);
-  *popts = plan.options;
-  run->detail = std::move(plan.code);
-  popts->left_bits = options.left_bits;
-  popts->right_bits = options.right_bits;
-  popts->window_elems = options.window_elems;
-  popts->pool = pool;
-  popts->gauge = options.gauge;
-  run->threads_used = pool != nullptr ? pool->num_threads() : 1;
-  return shards;
-}
-
 }  // namespace
 
 QueryRun RunQuery(const workload::JoinWorkload& w, JoinStrategy strategy,
@@ -143,9 +105,37 @@ QueryRun RunQuery(const workload::JoinWorkload& w, JoinStrategy strategy,
 
   switch (strategy) {
     case JoinStrategy::kDsmPostDecluster: {
-      DsmPostOptions popts;
-      join::JoinShards shards =
-          JoinAndPlanDsmPost(w, options, hw, pool, &run, &popts);
+      Timer join_timer;
+      join::PartitionedHashJoinOptions jopts;
+      jopts.pool = pool;
+      join::JoinShards shards = join::PartitionedHashJoinShards(
+          w.dsm_left.key().span(), w.dsm_right.key().span(), hw, jopts);
+      run.phases.join_seconds = join_timer.ElapsedSeconds();
+
+      // The plan needs only the base cardinalities, so the index is not
+      // materialized here: the projector turns the shards into the index
+      // in the planned left order (a c/d left side fuses the concatenation
+      // into its first Radix-Cluster pass).
+      const PinnedSides pinned{options.left, options.right};
+      Plan plan = PlanDsmPost(
+          w.dsm_left.cardinality(), w.dsm_right.cardinality(),
+          options.pi_left, hw, options.pi_varchar_left,
+          options.pi_varchar_right,
+          workload::AverageVarcharBytes(w.left_varchars,
+                                        options.pi_varchar_left),
+          workload::AverageVarcharBytes(w.right_varchars,
+                                        options.pi_varchar_right),
+          options.plan_sides ? nullptr : &pinned);
+      DsmPostOptions popts = plan.options;
+      run.detail = std::move(plan.code);
+      popts.left_bits = options.left_bits;
+      popts.right_bits = options.right_bits;
+      popts.window_elems = options.window_elems;
+      popts.chunk_rows = options.chunk_rows;
+      popts.pool = pool;
+      popts.gauge = options.gauge;
+      run.threads_used = pool != nullptr ? pool->num_threads() : 1;
+
       VarcharProjection var = SelectVarchars(w, options);
       storage::DsmResult result = DsmPostProject(
           std::move(shards), w.dsm_left, w.dsm_right, options.pi_left,
@@ -237,31 +227,6 @@ QueryRun RunQuery(const workload::JoinWorkload& w, JoinStrategy strategy,
     }
   }
   RADIX_CHECK(false);
-  return run;
-}
-
-QueryRun RunQueryStreaming(const workload::JoinWorkload& w,
-                           JoinStrategy strategy, const QueryOptions& options,
-                           const hardware::MemoryHierarchy& hw) {
-  if (strategy != JoinStrategy::kDsmPostDecluster || WantsVarchar(options)) {
-    // No streaming path for varchar projections yet (the fused decluster
-    // writes fixed-width slots); the engine's planner mirrors this fallback,
-    // so Explain never claims a varchar query streams.
-    return RunQuery(w, strategy, options, hw);
-  }
-  QueryRun run;
-  run.strategy = strategy;
-  Timer total;
-  ThreadPool* pool = KernelPool(options.pool);
-  DsmPostOptions popts;
-  join::JoinShards shards =
-      JoinAndPlanDsmPost(w, options, hw, pool, &run, &popts);
-  storage::DsmResult result = DsmPostProjectStreaming(
-      std::move(shards), w.dsm_left, w.dsm_right, options.pi_left,
-      options.pi_right, hw, popts, options.chunk_rows, &run.phases);
-  run.seconds = total.ElapsedSeconds();
-  run.result_cardinality = result.cardinality;
-  run.checksum = ChecksumColumns(result, pool);
   return run;
 }
 

@@ -73,9 +73,10 @@ struct QueryOptions {
   /// kernels (required for MemTracer runs); a larger pool runs the
   /// parallel kernels with byte-identical output.
   ThreadPool* pool = nullptr;
-  /// Chunk size (rows) for RunQueryStreaming: its row chunks and result
-  /// ranges; 0 = auto, a cache-sized range per column (DefaultChunkRows).
-  /// RunQuery ignores it.
+  /// kDsmPostDecluster's d right side: 0 = materialize; else the d side's
+  /// result range in rows (DsmPostOptions::chunk_rows; DefaultChunkRows is
+  /// the cache-sized one). Same result either way. The Fig. 10 comparison
+  /// strategies ignore it.
   size_t chunk_rows = 0;
   /// Gauge the materializing decluster side's clustered value column
   /// registers its bytes with; nullptr = the process-wide
@@ -93,18 +94,6 @@ struct QueryOptions {
 QueryRun RunQuery(const workload::JoinWorkload& w, JoinStrategy strategy,
                   const QueryOptions& options,
                   const hardware::MemoryHierarchy& hw);
-
-/// Streamed execution: for the DSM post-projection strategy the ordered
-/// gathers run over row chunks of options.chunk_rows rows and a d right
-/// side runs the fused gather + Radix-Decluster per result range
-/// (DsmPostProjectStreaming), so no value intermediate is kept. Checksum,
-/// cardinality and the result columns themselves are identical to RunQuery
-/// for every strategy/seed. Strategies without a streaming path (the NSM
-/// and pre-projection families, whose intermediates are row-major records)
-/// and varchar projections fall back to RunQuery.
-QueryRun RunQueryStreaming(const workload::JoinWorkload& w,
-                           JoinStrategy strategy, const QueryOptions& options,
-                           const hardware::MemoryHierarchy& hw);
 
 }  // namespace radix::project
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "cluster/partition_plan.h"
-#include "common/bits.h"
 #include "costmodel/models.h"
 #include "decluster/window.h"
 
@@ -107,18 +106,23 @@ void DsmPostCost(const DsmPostCostInput& in,
   // One side's positional gathers: its fixed columns, then its varchar
   // columns, which touch the 8-byte offsets plus avg_len heap bytes per
   // tuple and are modeled as a gather of that width.
-  auto gathers = [&](size_t rows, size_t pi, size_t pi_varchar,
-                     size_t varchar_len, radix_bits_t bits, bool sorted) {
-    add(totals.projection,
-        costmodel::ClusteredPositionalJoinCost(hw, cpu, n, rows,
-                                               in.value_width, bits, sorted),
-        static_cast<double>(std::max<size_t>(1, pi)));
+  auto varchar_gathers = [&](size_t rows, size_t pi_varchar,
+                             size_t varchar_len, radix_bits_t bits,
+                             bool sorted) {
     if (pi_varchar > 0) {
       add(totals.projection,
           costmodel::ClusteredPositionalJoinCost(
               hw, cpu, n, rows, sizeof(uint64_t) + varchar_len, bits, sorted),
           static_cast<double>(pi_varchar));
     }
+  };
+  auto gathers = [&](size_t rows, size_t pi, size_t pi_varchar,
+                     size_t varchar_len, radix_bits_t bits, bool sorted) {
+    add(totals.projection,
+        costmodel::ClusteredPositionalJoinCost(hw, cpu, n, rows,
+                                               in.value_width, bits, sorted),
+        static_cast<double>(std::max<size_t>(1, pi)));
+    varchar_gathers(rows, pi_varchar, varchar_len, bits, sorted);
   };
 
   // The join index is [left-oid, right-oid] pairs; its partitioned hash
@@ -163,15 +167,17 @@ void DsmPostCost(const DsmPostCostInput& in,
                                   d.spec.passes),
       1.0);
   const double pi_right = static_cast<double>(std::max<size_t>(1, in.pi_right));
-  if (in.chunk_rows != 0) {
-    // Streamed: RadixDeclusterGather fetches every value inside the merge,
-    // so its one fused term replaces the gather and decluster terms.
-    // (Varchar queries never stream; the executor materializes them.)
+  if (in.sides.chunk_rows != 0) {
+    // Streamed: RadixDeclusterGather fetches every fixed value inside the
+    // merge, so its one fused term replaces the fixed gather and decluster
+    // terms. The varchar columns still gather in clustered order.
     add(totals.decluster,
         costmodel::RadixDeclusterGatherCost(hw, cpu, n, in.right_rows,
                                             in.value_width, bits,
-                                            in.chunk_rows),
+                                            in.sides.chunk_rows),
         pi_right);
+    varchar_gathers(in.right_rows, in.pi_varchar_right,
+                    in.avg_varchar_right_len, bits, /*sorted=*/false);
   } else {
     gathers(in.right_rows, in.pi_right, in.pi_varchar_right,
             in.avg_varchar_right_len, bits, /*sorted=*/false);
@@ -193,42 +199,6 @@ void DsmPostCost(const DsmPostCostInput& in,
             hw, cpu, n, in.avg_varchar_right_len, bits, window),
         static_cast<double>(in.pi_varchar_right));
   }
-}
-
-radix_bits_t ChooseDeclusterBitsByModel(size_t index_cardinality,
-                                        size_t column_cardinality, size_t pi,
-                                        const hardware::MemoryHierarchy& hw) {
-  costmodel::CpuCosts cpu = costmodel::CpuCosts::Default();
-  radix_bits_t max_bits = SignificantBits(
-      column_cardinality == 0 ? 1 : column_cardinality);
-  radix_bits_t best_bits = 0;
-  double best_cost = -1;
-  double columns = static_cast<double>(pi == 0 ? 1 : pi);
-  for (radix_bits_t b = 0; b <= max_bits; ++b) {
-    uint32_t passes = cluster::PassesFor(b, hw);
-    double cluster_s =
-        b == 0 ? 0.0
-               : costmodel::RadixClusterCost(hw, cpu, index_cardinality, 8, b,
-                                             passes)
-                     .seconds;
-    double posjoin_s = costmodel::ClusteredPositionalJoinCost(
-                           hw, cpu, index_cardinality, column_cardinality,
-                           sizeof(value_t), b, false)
-                           .seconds;
-    size_t window = decluster::WindowPolicy::ChooseWindowElems(
-        hw, sizeof(value_t), size_t{1} << b, index_cardinality);
-    double decluster_s =
-        b == 0 ? 0.0  // unsorted: no decluster needed, but posjoin is random
-               : costmodel::RadixDeclusterCost(hw, cpu, index_cardinality,
-                                               sizeof(value_t), b, window)
-                     .seconds;
-    double total = cluster_s + columns * (posjoin_s + decluster_s);
-    if (best_cost < 0 || total < best_cost) {
-      best_cost = total;
-      best_bits = b;
-    }
-  }
-  return best_bits;
 }
 
 }  // namespace radix::project

@@ -75,9 +75,9 @@ DeclusterPlan PlanDeclusterSide(size_t index_rows, size_t right_rows,
 /// One DSM post-projection join as the Appendix-A cost model sees it.
 /// `value_width` is the bytes per fixed-width value (4-byte values, or the
 /// oid columns an operator join gathers); a fixed-column count of 0 is
-/// charged as 1; `sides` carries the resolved sides plus the radix-bits
-/// and window overrides; `chunk_rows` is a d right side's streamed result
-/// range, 0 = materialize.
+/// charged as 1; `sides` carries the resolved sides, the radix-bits and
+/// window overrides and a d right side's streamed result range
+/// (`sides.chunk_rows`, 0 = materialize).
 struct DsmPostCostInput {
   size_t left_rows = 0;
   size_t right_rows = 0;
@@ -90,7 +90,6 @@ struct DsmPostCostInput {
   size_t avg_varchar_left_len = 0;
   size_t avg_varchar_right_len = 0;
   DsmPostOptions sides;
-  size_t chunk_rows = 0;
 };
 
 /// The caller's per-phase totals; `varchar_decluster` may be null when no
@@ -116,17 +115,6 @@ void DsmPostCost(const DsmPostCostInput& in,
 /// The paper's "easy vs hard" boundary: a column of `tuples` 4-byte values
 /// fits the target cache.
 bool ColumnFitsCache(size_t tuples, const hardware::MemoryHierarchy& hw);
-
-/// Cost-model-driven choice of the partial-cluster radix bits for a
-/// decluster-side projection: minimizes
-///   cluster(B) + pi * (positional_join(B) + decluster(B))
-/// over B. Encodes the Fig. 7b discussion: the geometric formula's B is
-/// usually optimal, but with very few projection columns the one-off
-/// Radix-Cluster dominates and fewer bits win ("It sometimes is better to
-/// use even fewer Radix-Bits", §4.1).
-radix_bits_t ChooseDeclusterBitsByModel(size_t index_cardinality,
-                                        size_t column_cardinality, size_t pi,
-                                        const hardware::MemoryHierarchy& hw);
 
 }  // namespace radix::project
 

@@ -32,19 +32,19 @@ const char* JoinStrategyName(JoinStrategy s);
 /// Phase timings every strategy reports; the breakdowns behind Figs. 7b
 /// and the >90%-in-projection observation of §1.
 ///
-/// The four per-phase fields are *busy* time. For materializing runs the
-/// phases execute back-to-back on one thread, so busy == wall and they sum
-/// to the run's elapsed time. A streamed run (RunQueryStreaming) runs its
-/// gathers and fused decluster as chunk grains across pool threads: the
-/// per-phase fields then accumulate thread-seconds across all grains and
-/// may legitimately exceed the wall clock; the wall time of the streamed
-/// sections is recorded separately in pipeline_wall_seconds.
+/// Each phase field times its kernels by the wall clock, so for a
+/// materializing run the fields sum to the run's elapsed time. The one
+/// exception is a streamed d side (DsmPostOptions::chunk_rows != 0): the
+/// fused gather + merge runs result ranges as grains across pool threads,
+/// and decluster_seconds sums their busy time, which may legitimately
+/// exceed the wall clock. The wall time of that decluster phase is
+/// recorded separately in pipeline_wall_seconds.
 struct PhaseBreakdown {
   double join_seconds = 0;        ///< creating the join index / join phase
   double cluster_seconds = 0;     ///< radix-cluster / sort of the index
   double projection_seconds = 0;  ///< positional joins / record copies
   double decluster_seconds = 0;   ///< radix-decluster passes
-  /// Wall seconds of the streamed (overlapped) pipeline sections; 0 for
+  /// Wall seconds of a streamed d side's decluster phase; 0 for
   /// materializing runs.
   double pipeline_wall_seconds = 0;
 
@@ -56,13 +56,12 @@ struct PhaseBreakdown {
            decluster_seconds;
   }
 
-  /// Wall-clock attributable time: the overlapped projection + decluster
-  /// sections count by their pipeline wall time, not their busy sums, so
-  /// total() never exceeds QueryRun::seconds (up to scheduling noise).
+  /// Wall-clock attributable time: a streamed decluster phase counts by
+  /// its wall time, not its busy sum, so total() never exceeds
+  /// QueryRun::seconds (up to scheduling noise).
   double total() const {
-    return overlapped()
-               ? join_seconds + cluster_seconds + pipeline_wall_seconds
-               : busy_total();
+    return join_seconds + cluster_seconds + projection_seconds +
+           (overlapped() ? pipeline_wall_seconds : decluster_seconds);
   }
 };
 

@@ -197,9 +197,11 @@ TEST(EngineTest, LegacyWrappersReuseProcessWidePool) {
   opts.pi_right = 1;
   opts.pool = &pool;
   uint64_t before = ThreadPool::TotalConstructed();
+  project::QueryOptions streamed = opts;
+  streamed.chunk_rows = project::DefaultChunkRows(hw);
   for (int round = 0; round < 3; ++round) {
     project::RunQuery(w, JoinStrategy::kDsmPostDecluster, opts, hw);
-    project::RunQueryStreaming(w, JoinStrategy::kDsmPostDecluster, opts, hw);
+    project::RunQuery(w, JoinStrategy::kDsmPostDecluster, streamed, hw);
   }
   EXPECT_EQ(ThreadPool::TotalConstructed(), before);
 }
@@ -245,8 +247,10 @@ TEST(EngineTest, InjectedSizeOnePoolPinsSerialExecution) {
   uint64_t before = ThreadPool::TotalConstructed();
   project::QueryRun run =
       project::RunQuery(w, JoinStrategy::kDsmPostDecluster, opts, hw);
-  project::QueryRun streamed = project::RunQueryStreaming(
-      w, JoinStrategy::kDsmPostDecluster, opts, hw);
+  project::QueryOptions ranged = opts;
+  ranged.chunk_rows = project::DefaultChunkRows(hw);
+  project::QueryRun streamed =
+      project::RunQuery(w, JoinStrategy::kDsmPostDecluster, ranged, hw);
   EXPECT_EQ(ThreadPool::TotalConstructed(), before);
   EXPECT_EQ(run.threads_used, 1u);
   EXPECT_EQ(streamed.threads_used, 1u);
@@ -333,6 +337,17 @@ TEST(EngineTest, ChunkingPolicyControlsExecutionMode) {
   EXPECT_EQ(RunOk(mat, w, forced).checksum, ref.checksum);
 }
 
+workload::JoinWorkload MakeVarcharW(size_t n, uint64_t seed,
+                                    size_t num_cols = 2) {
+  workload::JoinWorkloadSpec spec;
+  spec.cardinality = n;
+  spec.num_attrs = 3;
+  spec.hit_rate = 1.0;
+  spec.seed = seed;
+  spec.varchar.num_cols = num_cols;
+  return workload::MakeJoinWorkload(spec);
+}
+
 TEST(EngineTest, ExplainStreamingCostUsesStreamingModel) {
   // When the plan streams, the right side's gather and decluster are one
   // fused kernel: the modeled decluster phase is its prediction for the
@@ -363,17 +378,26 @@ TEST(EngineTest, ExplainStreamingCostUsesStreamingModel) {
   EXPECT_LT(ex.projection_cost.seconds, mat.projection_cost.seconds);
   EXPECT_EQ(ex.join_cost.seconds, mat.join_cost.seconds);
   EXPECT_EQ(ex.cluster_cost.seconds, mat.cluster_cost.seconds);
-}
 
-workload::JoinWorkload MakeVarcharW(size_t n, uint64_t seed,
-                                    size_t num_cols = 2) {
-  workload::JoinWorkloadSpec spec;
-  spec.cardinality = n;
-  spec.num_attrs = 3;
-  spec.hit_rate = 1.0;
-  spec.seed = seed;
-  spec.varchar.num_cols = num_cols;
-  return workload::MakeJoinWorkload(spec);
+  // A streamed varchar query still gathers its right varchar column in
+  // clustered order (the first phase of Fig. 12), so its projection phase
+  // charges that gather on top of the fixed-only plan's.
+  workload::JoinWorkload vw = MakeVarcharW(1 << 16, 41);
+  QuerySpec var_spec = spec;
+  var_spec.pi_varchar_right = 1;
+  const Explanation vx = eng.Prepare(vw, var_spec).Explain();
+  ASSERT_TRUE(vx.streaming);
+  const Explanation fx = eng.Prepare(vw, spec).Explain();
+  const size_t avg_len = workload::AverageVarcharBytes(vw.right_varchars, 1);
+  const double varchar_gather =
+      costmodel::ClusteredPositionalJoinCost(
+          eng.hierarchy(), eng.cpu_costs(), vw.expected_result_size,
+          vw.dsm_right.cardinality(), sizeof(uint64_t) + avg_len,
+          vx.decluster_bits, /*sorted=*/false)
+          .seconds;
+  EXPECT_GT(varchar_gather, 0.0);
+  EXPECT_NEAR(vx.projection_cost.seconds - fx.projection_cost.seconds,
+              varchar_gather, 1e-9 * varchar_gather);
 }
 
 TEST(EngineTest, VarcharExplainReportsPagedDeclusterTerm) {
@@ -407,38 +431,6 @@ TEST(EngineTest, VarcharExplainReportsPagedDeclusterTerm) {
   const Explanation& fx = eng.Prepare(w, fixed_only).Explain();
   EXPECT_EQ(fx.varchar_cols, 0u);
   EXPECT_EQ(fx.varchar_decluster_cost.seconds, 0.0);
-}
-
-TEST(EngineTest, VarcharQueriesNeverStream) {
-  // The pipeline has no variable-size chunk path yet: even an explicit
-  // kStream policy must plan (and execute) a varchar query materializing,
-  // mirroring the executor's fallback — Explain may not claim otherwise.
-  Engine eng(P4Config());
-  workload::JoinWorkload w = MakeVarcharW(1 << 16, 29);
-  QuerySpec spec;
-  spec.pi_left = 1;
-  spec.pi_right = 1;
-  spec.pi_varchar_right = 1;
-  spec.plan_sides = false;
-  spec.left = SideStrategy::kClustered;
-  spec.right = SideStrategy::kDecluster;
-  spec.chunking = ChunkingPolicy::kStream;
-  const Explanation& ex = eng.Prepare(w, spec).Explain();
-  EXPECT_FALSE(ex.streaming);
-  EXPECT_EQ(ex.chunk_rows, 0u);
-
-  QuerySpec no_var = spec;
-  no_var.pi_varchar_right = 0;
-  EXPECT_TRUE(eng.Prepare(w, no_var).Explain().streaming);
-
-  // Same honesty on the *unsorted* right side (where no-varchar kStream
-  // legitimately streams the gathers): a varchar query must not claim it.
-  QuerySpec u_right = spec;
-  u_right.right = SideStrategy::kUnsorted;
-  EXPECT_FALSE(eng.Prepare(w, u_right).Explain().streaming);
-  QuerySpec u_right_no_var = u_right;
-  u_right_no_var.pi_varchar_right = 0;
-  EXPECT_TRUE(eng.Prepare(w, u_right_no_var).Explain().streaming);
 }
 
 TEST(EngineTest, PinnedAndPlannedSidesShareOneLabel) {
@@ -536,28 +528,16 @@ TEST(EngineTest, ModeReasonExplainsWhyStreamingWasRejected) {
   EXPECT_EQ(auto_eng.Prepare(w, forced).Explain().mode_reason,
             "policy: stream");
 
-  // The headline case: varchar columns force materializing even under an
-  // explicit kStream policy, and the reason says so — on the d right side
-  // and on the u right side alike.
-  workload::JoinWorkload vw = MakeVarcharW(1 << 14, 29);
-  QuerySpec var_spec = forced;  // kStream
-  var_spec.pi_varchar_right = 1;
+  // A u right side has nothing to stream, so it materializes even under
+  // an explicit kStream policy, and the reason says so.
+  QuerySpec u_right = forced;  // kStream
+  u_right.right = SideStrategy::kUnsorted;
   {
-    const Explanation& ex = auto_eng.Prepare(vw, var_spec).Explain();
+    const Explanation& ex = auto_eng.Prepare(w, u_right).Explain();
     ASSERT_FALSE(ex.streaming);
-    EXPECT_NE(ex.mode_reason.find("varchar columns force materializing"),
-              std::string::npos)
-        << ex.mode_reason;
+    EXPECT_EQ(ex.mode_reason,
+              "u right side materializes no value intermediates");
     EXPECT_NE(ex.ToString().find("mode reason: "), std::string::npos);
-  }
-  QuerySpec var_u = var_spec;
-  var_u.right = SideStrategy::kUnsorted;
-  {
-    const Explanation& ex = auto_eng.Prepare(vw, var_u).Explain();
-    ASSERT_FALSE(ex.streaming);
-    EXPECT_NE(ex.mode_reason.find("varchar columns force materializing"),
-              std::string::npos)
-        << ex.mode_reason;
   }
 
   // Comparison strategies have no streaming mode at all.
@@ -601,6 +581,19 @@ TEST(EngineTest, VarcharExecuteMatchesLegacyAndIsThreadInvariant) {
   project::QueryRun serial_ref = project::RunQuery(
       w, JoinStrategy::kDsmPostDecluster, legacy, hw);
   EXPECT_EQ(threaded_run.checksum, serial_ref.checksum);
+
+  // Streamed, a varchar query drains its fixed d columns by range and runs
+  // its varchar columns through the Fig. 12 path: same checksum.
+  QuerySpec streamed = spec;
+  streamed.plan_sides = false;
+  streamed.left = SideStrategy::kClustered;
+  streamed.right = SideStrategy::kDecluster;
+  streamed.chunking = ChunkingPolicy::kStream;
+  PreparedQuery q = threaded.Prepare(w, streamed);
+  ASSERT_TRUE(q.Explain().streaming);
+  project::QueryRun streamed_run = RunOk(q);
+  EXPECT_EQ(streamed_run.checksum, serial_ref.checksum);
+  EXPECT_GT(streamed_run.phases.pipeline_wall_seconds, 0.0);
 }
 
 TEST(EngineTest, ProjectionCountsBeyondTheWorkloadAreInvalidArguments) {

@@ -1,8 +1,7 @@
-// Tests for the pipeline/ streaming support and the streamed projection:
-// row-chunk planning, the memory gauge, and the end-to-end streamed
-// projection — including the headline invariant that it keeps no value
-// intermediate at all, where the materializing projector keeps exactly
-// one N-row clustered value column.
+// Tests for the pipeline/ memory gauge and the streamed projection (a
+// non-zero DsmPostOptions::chunk_rows) — including the headline invariant
+// that it keeps no value intermediate at all, where the materializing
+// projector keeps exactly one N-row clustered value column.
 
 #include <gtest/gtest.h>
 
@@ -20,19 +19,6 @@
 
 namespace radix {
 namespace {
-
-using pipeline::ChunkPlan;
-
-TEST(PipelineChunkPlan, EdgeCases) {
-  // Row chunks: exact cover, last chunk short.
-  ChunkPlan rows = pipeline::MakeRowChunks(10, 4);
-  ASSERT_EQ(rows.chunks.size(), 3u);
-  EXPECT_EQ(rows.chunks[2].row_begin, 8u);
-  EXPECT_EQ(rows.chunks[2].row_end, 10u);
-  EXPECT_EQ(rows.chunks[1].row_end, 8u);
-  EXPECT_TRUE(pipeline::MakeRowChunks(0, 4).chunks.empty());
-  EXPECT_EQ(pipeline::MakeRowChunks(10, 0).chunks.size(), 1u);
-}
 
 TEST(PipelineMemory, GaugeTracksCurrentAndPeak) {
   pipeline::MemoryGauge& g = pipeline::MemoryGauge::Instance();
@@ -71,9 +57,9 @@ TEST(PipelineStreaming, ResultColumnsByteIdenticalToMaterializing) {
   popts.right = project::SideStrategy::kDecluster;
   storage::DsmResult mat = project::DsmPostProject(
       index_a, w.dsm_left, w.dsm_right, 3, 3, hw, popts);
-  storage::DsmResult streamed = project::DsmPostProjectStreaming(
-      index_b, w.dsm_left, w.dsm_right, 3, 3, hw, popts,
-      /*chunk_rows=*/4096);
+  popts.chunk_rows = 4096;
+  storage::DsmResult streamed = project::DsmPostProject(
+      index_b, w.dsm_left, w.dsm_right, 3, 3, hw, popts);
 
   ASSERT_EQ(streamed.cardinality, mat.cardinality);
   for (size_t a = 0; a < 3; ++a) {
@@ -89,10 +75,10 @@ TEST(PipelineStreaming, ResultColumnsByteIdenticalToMaterializing) {
 }
 
 // Peak intermediate bytes: the streamed projection fuses the decluster
-// side's gather into the merge and gathers the ordered sides straight into
-// the result, so it registers nothing with the gauge at any N or thread
-// count; the materializing projector's one intermediate is its clustered
-// value column, exactly N * sizeof(value_t) bytes (reused across columns).
+// side's gather into the merge, so it registers nothing with the gauge at
+// any N or thread count; the materializing projector's one intermediate is
+// its clustered value column, exactly N * sizeof(value_t) bytes (reused
+// across columns).
 TEST(PipelineStreaming, PeakIntermediateBytesBoundedByChunkNotByN) {
   auto hw = hardware::MemoryHierarchy::Pentium4();
   constexpr size_t kChunkRows = 4096;
@@ -118,11 +104,13 @@ TEST(PipelineStreaming, PeakIntermediateBytesBoundedByChunkNotByN) {
     Peaks peaks;
     gauge.ResetPeak();
     size_t before = gauge.current_bytes();
-    storage::DsmResult streamed = project::DsmPostProjectStreaming(
-        index, w.dsm_left, w.dsm_right, kPi, kPi, hw, popts, kChunkRows);
+    popts.chunk_rows = kChunkRows;
+    storage::DsmResult streamed = project::DsmPostProject(
+        index, w.dsm_left, w.dsm_right, kPi, kPi, hw, popts);
     peaks.streamed = gauge.peak_bytes() - before;
     gauge.ResetPeak();
     before = gauge.current_bytes();
+    popts.chunk_rows = 0;
     storage::DsmResult ref = project::DsmPostProject(
         index_ref, w.dsm_left, w.dsm_right, kPi, kPi, hw, popts);
     peaks.materialized = gauge.peak_bytes() - before;
@@ -152,18 +140,23 @@ TEST(PipelineStreaming, OverlapAwarePhasesStayWithinWallClock) {
   project::QueryOptions opts;
   opts.pi_left = 3;
   opts.pi_right = 3;
+  // Only a d right side streams; the planner would pick u at this size.
+  opts.plan_sides = false;
+  opts.left = project::SideStrategy::kClustered;
+  opts.right = project::SideStrategy::kDecluster;
   opts.pool = &pool;
   opts.chunk_rows = 2048;
 
-  project::QueryRun streamed = project::RunQueryStreaming(
+  project::QueryRun streamed = project::RunQuery(
       w, project::JoinStrategy::kDsmPostDecluster, opts, hw);
   EXPECT_GT(streamed.phases.pipeline_wall_seconds, 0.0);
   EXPECT_TRUE(streamed.phases.overlapped());
-  // The overlapped sections count by wall time in total(), so phases no
-  // longer sum past the run (generous slack: timer granularity and
+  // The streamed decluster phase counts by wall time in total(), so phases
+  // no longer sum past the run (generous slack: timer granularity and
   // scheduling noise on loaded CI machines).
   EXPECT_LE(streamed.phases.total(), streamed.seconds * 1.25 + 0.05);
 
+  opts.chunk_rows = 0;
   project::QueryRun mat = project::RunQuery(
       w, project::JoinStrategy::kDsmPostDecluster, opts, hw);
   EXPECT_EQ(mat.phases.pipeline_wall_seconds, 0.0);
@@ -172,6 +165,8 @@ TEST(PipelineStreaming, OverlapAwarePhasesStayWithinWallClock) {
 }
 
 TEST(PipelineStreaming, FallsBackForStrategiesWithoutAStreamingPath) {
+  // The Fig. 10 comparison strategies ignore a streamed range: a non-zero
+  // chunk_rows leaves their checksums unchanged.
   auto hw = hardware::MemoryHierarchy::Pentium4();
   workload::JoinWorkloadSpec spec;
   spec.cardinality = 8000;
@@ -181,11 +176,16 @@ TEST(PipelineStreaming, FallsBackForStrategiesWithoutAStreamingPath) {
   project::QueryOptions opts;
   opts.pi_left = 2;
   opts.pi_right = 2;
+  project::QueryOptions ranged = opts;
+  ranged.chunk_rows = 1024;
   for (auto strategy : {project::JoinStrategy::kDsmPrePhash,
-                        project::JoinStrategy::kNsmPostDecluster}) {
-    project::QueryRun s = project::RunQueryStreaming(w, strategy, opts, hw);
+                        project::JoinStrategy::kNsmPreHash,
+                        project::JoinStrategy::kNsmPrePhash,
+                        project::JoinStrategy::kNsmPostDecluster,
+                        project::JoinStrategy::kNsmPostJive}) {
+    project::QueryRun s = project::RunQuery(w, strategy, ranged, hw);
     project::QueryRun m = project::RunQuery(w, strategy, opts, hw);
-    EXPECT_EQ(s.checksum, m.checksum);
+    EXPECT_EQ(s.checksum, m.checksum) << project::JoinStrategyName(strategy);
     EXPECT_EQ(s.result_cardinality, m.result_cardinality);
   }
 }

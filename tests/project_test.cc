@@ -405,24 +405,29 @@ TEST(ProjectIndexRightTest, DirectGatherMatchesRightOidsIncludingVarchar) {
                                 SideStrategy::kDecluster,
                                 SideStrategy::kClustered}) {
     for (size_t threads = 1; threads <= 4; ++threads) {
-      ThreadPool pool(threads);
-      std::vector<std::vector<value_t>> got(cols.size(),
-                                            std::vector<value_t>(n));
-      std::vector<std::span<value_t>> outs;
-      for (auto& g : got) outs.emplace_back(g);
-      std::vector<storage::VarcharColumn> got_var;
-      detail::ProjectIndexRight(index, /*keep_index=*/true, strategy, cols,
-                                outs, w.dsm_right.cardinality(), hw,
-                                DsmPostOptions::kAuto, 0, nullptr,
-                                threads > 1 ? &pool : nullptr, var, &got_var);
-      const std::string where = std::string(SideStrategyCode(strategy)) +
-                                " threads=" + std::to_string(threads);
-      EXPECT_EQ(got, want) << where;
-      ASSERT_EQ(got_var.size(), 1u) << where;
-      ASSERT_EQ(got_var[0].size(), n) << where;
-      EXPECT_EQ(got_var[0].heap_bytes(), want_var.heap_bytes()) << where;
-      for (size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(got_var[0].at(i), want_var.at(i)) << where << " row " << i;
+      for (size_t chunk_rows : {size_t{0}, size_t{97}}) {
+        ThreadPool pool(threads);
+        std::vector<std::vector<value_t>> got(cols.size(),
+                                              std::vector<value_t>(n));
+        std::vector<std::span<value_t>> outs;
+        for (auto& g : got) outs.emplace_back(g);
+        std::vector<storage::VarcharColumn> got_var;
+        detail::ProjectIndexRight(index, /*keep_index=*/true, strategy, cols,
+                                  outs, w.dsm_right.cardinality(), hw,
+                                  DsmPostOptions::kAuto, 0, chunk_rows,
+                                  nullptr, threads > 1 ? &pool : nullptr, var,
+                                  &got_var);
+        const std::string where = std::string(SideStrategyCode(strategy)) +
+                                  " threads=" + std::to_string(threads) +
+                                  " chunk_rows=" + std::to_string(chunk_rows);
+        EXPECT_EQ(got, want) << where;
+        ASSERT_EQ(got_var.size(), 1u) << where;
+        ASSERT_EQ(got_var[0].size(), n) << where;
+        EXPECT_EQ(got_var[0].heap_bytes(), want_var.heap_bytes()) << where;
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(got_var[0].at(i), want_var.at(i))
+              << where << " row " << i;
+        }
       }
     }
   }
@@ -435,7 +440,7 @@ TEST(ProjectIndexRightTest, DirectGatherMatchesRightOidsIncludingVarchar) {
   detail::ProjectIndexRight(consumed, /*keep_index=*/false,
                             SideStrategy::kDecluster, cols, outs,
                             w.dsm_right.cardinality(), hw,
-                            DsmPostOptions::kAuto, 0, nullptr, nullptr);
+                            DsmPostOptions::kAuto, 0, 0, nullptr, nullptr);
   EXPECT_TRUE(consumed.empty());
   EXPECT_EQ(got, want);
 }

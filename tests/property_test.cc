@@ -284,10 +284,11 @@ TEST(ParallelProperty, PerColumnGatherBitIdenticalToSerial) {
 }
 
 TEST(StreamingProperty, StreamingMatchesMaterializingAcrossStrategies) {
-  // RunQueryStreaming's whole contract: identical checksum and cardinality
-  // to RunQuery for every DSM-post side-strategy combination (Fig. 10c's
-  // u/u, c/u, c/d, s/d), across seeds x threads x chunk sizes including
-  // chunk_rows >= N.
+  // A streamed range's whole contract: identical checksum and cardinality
+  // to the materializing RunQuery for every DSM-post side-strategy
+  // combination (Fig. 10c's u/u, c/u, c/d, s/d), across seeds x threads x
+  // ranges including chunk_rows >= N — and for a varchar workload, with
+  // 0 or 1 varchar columns per side.
   auto hw = hardware::MemoryHierarchy::Pentium4();
   struct Combo {
     project::SideStrategy left, right;
@@ -298,36 +299,50 @@ TEST(StreamingProperty, StreamingMatchesMaterializingAcrossStrategies) {
       {project::SideStrategy::kClustered, project::SideStrategy::kDecluster},
       {project::SideStrategy::kSorted, project::SideStrategy::kDecluster},
   };
-  for (uint64_t seed : {7u, 99u}) {
+  struct Input {
+    uint64_t seed;
+    size_t varchar_cols;
+  };
+  for (const Input& input : {Input{7, 0}, Input{99, 0}, Input{31, 1}}) {
+    const uint64_t seed = input.seed;
     workload::JoinWorkloadSpec spec;
     spec.cardinality = 15000 + 1000 * seed;
     spec.num_attrs = 3;
     spec.hit_rate = 1.0;
     spec.seed = seed;
     spec.build_nsm = false;
+    spec.varchar.num_cols = input.varchar_cols;
     workload::JoinWorkload w = workload::MakeJoinWorkload(spec);
-    for (const Combo& combo : combos) {
-      project::QueryOptions opts;
-      opts.pi_left = 2;
-      opts.pi_right = 2;
-      opts.plan_sides = false;
-      opts.left = combo.left;
-      opts.right = combo.right;
-      project::QueryRun ref = project::RunQuery(
-          w, project::JoinStrategy::kDsmPostDecluster, opts, hw);
-      for (size_t threads : {1u, 2u, 4u}) {
-        ThreadPool pool(threads);
-        opts.pool = &pool;
-        for (size_t chunk_rows :
-             {size_t{977}, size_t{8192}, spec.cardinality * 2}) {
-          opts.chunk_rows = chunk_rows;
-          project::QueryRun streamed = project::RunQueryStreaming(
+    for (size_t var_left = 0; var_left <= input.varchar_cols; ++var_left) {
+      for (size_t var_right = 0; var_right <= input.varchar_cols;
+           ++var_right) {
+        for (const Combo& combo : combos) {
+          project::QueryOptions opts;
+          opts.pi_left = 2;
+          opts.pi_right = 2;
+          opts.pi_varchar_left = var_left;
+          opts.pi_varchar_right = var_right;
+          opts.plan_sides = false;
+          opts.left = combo.left;
+          opts.right = combo.right;
+          project::QueryRun ref = project::RunQuery(
               w, project::JoinStrategy::kDsmPostDecluster, opts, hw);
-          ASSERT_EQ(streamed.checksum, ref.checksum)
-              << "seed=" << seed << " combo=" << ref.detail
-              << " threads=" << threads << " chunk_rows=" << chunk_rows;
-          ASSERT_EQ(streamed.result_cardinality, ref.result_cardinality);
-          ASSERT_EQ(streamed.detail, ref.detail);
+          for (size_t threads : {1u, 2u, 4u}) {
+            ThreadPool pool(threads);
+            opts.pool = &pool;
+            for (size_t chunk_rows :
+                 {size_t{977}, size_t{8192}, spec.cardinality * 2}) {
+              opts.chunk_rows = chunk_rows;
+              project::QueryRun streamed = project::RunQuery(
+                  w, project::JoinStrategy::kDsmPostDecluster, opts, hw);
+              ASSERT_EQ(streamed.checksum, ref.checksum)
+                  << "seed=" << seed << " combo=" << ref.detail
+                  << " varchar=" << var_left << "/" << var_right
+                  << " threads=" << threads << " chunk_rows=" << chunk_rows;
+              ASSERT_EQ(streamed.result_cardinality, ref.result_cardinality);
+              ASSERT_EQ(streamed.detail, ref.detail);
+            }
+          }
         }
       }
     }
@@ -335,9 +350,9 @@ TEST(StreamingProperty, StreamingMatchesMaterializingAcrossStrategies) {
 }
 
 TEST(StreamingProperty, ChunkRowsOneEdgeCase) {
-  // chunk_rows = 1 degenerates to one chunk per non-empty cluster (and one
-  // row per chunk on the order-preserving streams) — the smallest legal
-  // chunking must still agree with the materializing run.
+  // chunk_rows = 1 degenerates to result ranges of one row per cluster
+  // (RadixDeclusterGather's floor) — the smallest legal range must still
+  // agree with the materializing run.
   auto hw = hardware::MemoryHierarchy::Pentium4();
   workload::JoinWorkloadSpec spec;
   spec.cardinality = 4000;
@@ -359,7 +374,7 @@ TEST(StreamingProperty, ChunkRowsOneEdgeCase) {
       ThreadPool pool(threads);
       opts.pool = &pool;
       opts.chunk_rows = 1;
-      project::QueryRun streamed = project::RunQueryStreaming(
+      project::QueryRun streamed = project::RunQuery(
           w, project::JoinStrategy::kDsmPostDecluster, opts, hw);
       ASSERT_EQ(streamed.checksum, ref.checksum)
           << ref.detail << " threads=" << threads;

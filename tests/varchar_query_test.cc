@@ -127,8 +127,8 @@ TEST_P(VarcharStrategySweep, AllStrategiesMatchScalarReference) {
 
   // The DSM-post strategy additionally sweeps worker threads (its kernels
   // have parallel variants; varchar gathers stay serial but must compose
-  // with the parallel fixed kernels) and the streaming entry point (which
-  // must fall back to materializing for varchar and still agree).
+  // with the parallel fixed kernels) and a streamed range (the fixed d
+  // columns drain by range, the varchar columns take the Fig. 12 path).
   for (size_t threads : {2u, 4u}) {
     ThreadPool pool(threads);
     project::QueryOptions topt = opt;
@@ -137,11 +137,20 @@ TEST_P(VarcharStrategySweep, AllStrategiesMatchScalarReference) {
         project::RunQuery(w, JoinStrategy::kDsmPostDecluster, topt, hw);
     EXPECT_EQ(run.checksum, expected) << "threads=" << threads;
   }
-  project::QueryRun streamed = project::RunQueryStreaming(
-      w, JoinStrategy::kDsmPostDecluster, opt, hw);
-  EXPECT_EQ(streamed.checksum, expected) << "streaming fallback";
-  EXPECT_EQ(streamed.phases.pipeline_wall_seconds, 0.0)
-      << "varchar queries must not stream yet";
+  project::QueryOptions mopt = opt;
+  mopt.plan_sides = false;
+  mopt.left = SideStrategy::kClustered;
+  mopt.right = SideStrategy::kDecluster;
+  project::QueryOptions sopt = mopt;
+  sopt.chunk_rows = project::DefaultChunkRows(hw);
+  project::QueryRun streamed =
+      project::RunQuery(w, JoinStrategy::kDsmPostDecluster, sopt, hw);
+  project::QueryRun materialized =
+      project::RunQuery(w, JoinStrategy::kDsmPostDecluster, mopt, hw);
+  EXPECT_EQ(streamed.checksum, materialized.checksum) << "streamed c/d";
+  EXPECT_EQ(streamed.checksum, expected) << "streamed c/d";
+  EXPECT_GT(streamed.phases.pipeline_wall_seconds, 0.0)
+      << "a d side drains by range";
 
   // Forced side codes: every Fig. 10c plan shape over varchar payloads.
   for (auto [l, r] : {std::pair{SideStrategy::kUnsorted,
